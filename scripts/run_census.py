@@ -21,17 +21,10 @@ import json
 import math
 import sys
 
-import scipy.optimize as so
 from scipy.stats import norm
 
 from fdprisk import risk as R
 from fdprisk import tradeoff as T
-
-
-def gaussian_mu_at(eps, delta):
-    return so.brentq(
-        lambda m: T.delta_for_epsilon(T.gaussian_curve(m), eps) - delta,
-        1e-4, 80.0, xtol=1e-12)
 
 
 def zcdp_rho_at(eps, delta):
@@ -48,7 +41,7 @@ def main(argv=None):
     ap.add_argument("--format", choices=("text", "json"), default="text")
     args = ap.parse_args(argv)
 
-    mu = gaussian_mu_at(args.epsilon, args.delta)
+    mu = T.gaussian_mu_at(args.epsilon, args.delta)
     f_gauss = T.gaussian_curve(mu)
     f_std = T.curve_from_epsilon_delta(args.epsilon, args.delta)
     rho = zcdp_rho_at(args.epsilon, args.delta)

@@ -12,17 +12,10 @@ import csv
 import sys
 
 import numpy as np
-import scipy.optimize as so
 
 from fdprisk import prior_bounds as P
 from fdprisk import risk as R
 from fdprisk import tradeoff as T
-
-
-def gaussian_mu_at(eps, delta):
-    return so.brentq(
-        lambda m: T.delta_for_epsilon(T.gaussian_curve(m), eps) - delta,
-        1e-4, 80.0, xtol=1e-12)
 
 
 def main(argv=None):
@@ -44,7 +37,7 @@ def main(argv=None):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "epsilon", "adv_pso", "adv_spso"])
     for eps in eps_grid:
-        f = T.gaussian_curve(gaussian_mu_at(eps, args.delta))
+        f = T.gaussian_curve(T.gaussian_mu_at(eps, args.delta))
         adv_spso = R.adv_bound(f, w)
         for n in sizes:
             base = n * w * (1 - w) ** (n - 1)

@@ -276,22 +276,11 @@ def curve_of(spec: MechanismSpec, grid_step: float = 1e-4,
     return curve_from_profile(profile_from_pld(pld, eps_grid))
 
 
-def spec_from_config(path_or_text: str, is_text: bool = False) -> MechanismSpec:
-    """Parse a mechanism spec from a key-value config file.
+def spec_from_section(section) -> MechanismSpec:
+    """Mechanism spec from one config section, or any key-value mapping.
 
-    Keys (in a ``[mechanism]`` section, or top-level ``[DEFAULT]``): family,
-    noise_scale, sensitivity, compositions, neighborhood.
+    Keys: family, noise_scale, sensitivity, compositions, neighborhood.
     """
-    cp = configparser.ConfigParser()
-    try:
-        if is_text:
-            cp.read_string(path_or_text)
-        else:
-            with open(path_or_text) as fh:
-                cp.read_string(fh.read())
-    except (OSError, configparser.Error) as exc:
-        raise ParameterError(f"cannot parse mechanism config: {exc}") from None
-    section = cp["mechanism"] if cp.has_section("mechanism") else cp["DEFAULT"]
     try:
         return MechanismSpec(
             family=section.get("family", "").strip().lower(),
@@ -302,3 +291,19 @@ def spec_from_config(path_or_text: str, is_text: bool = False) -> MechanismSpec:
         )
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"invalid mechanism config: {exc}") from None
+
+
+def spec_from_config(path: str) -> MechanismSpec:
+    """Parse a mechanism spec from a key-value config file.
+
+    Keys as in ``spec_from_section``, in a ``[mechanism]`` section or
+    top-level ``[DEFAULT]``.
+    """
+    cp = configparser.ConfigParser()
+    try:
+        with open(path) as fh:
+            cp.read_string(fh.read())
+    except (OSError, configparser.Error) as exc:
+        raise ParameterError(f"cannot parse mechanism config: {exc}") from None
+    return spec_from_section(cp["mechanism"] if cp.has_section("mechanism")
+                             else cp["DEFAULT"])

@@ -17,10 +17,12 @@ import numpy as np
 from . import accountant, prior_bounds, risk
 from .accountant import MechanismSpec
 from .risk import BaselineSpec
-from .tradeoff import (ParameterError, curve_from_epsilon_delta,
-                       delta_for_epsilon)
+from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
+                       curve_from_epsilon_delta, delta_for_epsilon)
 
 METHODS = ("fdp", "rdp", "zcdp", "eps_delta")
+_RDP_EPSILON = {"gaussian": prior_bounds.gaussian_rdp_epsilon,
+                "laplace": prior_bounds.laplace_rdp_epsilon}
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -42,7 +44,8 @@ class CalibrationRequest:
     method: str = "fdp"
     sensitivity: float = 1.0
     compositions: int = 1
-    rdp_order: float | None = None  # None = optimize over a continuum of orders
+    # None = the best of the 400 orders of prior_bounds.default_t_grid()
+    rdp_order: float | None = None
     eps_delta_delta: float = 1e-5  # delta at which the eps_delta method reads off eps
     tolerance: float = 1e-4
     bracket: tuple = (1e-3, 1e3)
@@ -76,102 +79,95 @@ class CalibrationResult:
 # --------------------------------------------------------------------------
 # risk evaluation per method
 
-def _rdp_epsilon_fn(family: str, noise_scale: float, sensitivity: float,
-                    k: int):
-    """Composed RDP curve t -> eps(t) of the mechanism (vectorized in t)."""
-    if family == "gaussian":
-        mu = sensitivity / noise_scale
-        return lambda t: k * np.asarray(t) * mu * mu / 2.0
-    if family == "laplace":
-        eps = sensitivity / noise_scale
+def method_bound(spec: MechanismSpec, method: str,
+                 rdp_order: float | None = None,
+                 eps_delta_delta: float = 1e-5):
+    """The method's risk bound for one mechanism spec.
 
-        def eps_of_t(t):
-            t = np.asarray(t, dtype=float)
-            inner = (t / (2.0 * t - 1.0)) * np.exp((t - 1.0) * eps) \
-                + ((t - 1.0) / (2.0 * t - 1.0)) * np.exp(-t * eps)
-            return k * np.log(inner) / (t - 1.0)
-
-        return eps_of_t
-    raise ParameterError(f"RDP accounting not supported for family {family!r}")
-
-
-def _succ_at_bases(req: CalibrationRequest, noise_scale: float,
-                   bases: np.ndarray) -> np.ndarray:
-    """Success bound at an array of scalar baselines under the method."""
-    bases = np.asarray(bases, dtype=float)
-    spec = MechanismSpec(family=req.family, noise_scale=noise_scale,
-                         sensitivity=req.sensitivity,
-                         compositions=req.compositions)
-    if req.method == "fdp":
-        f = accountant.curve_of(spec)
-        return np.clip(1.0 - f(bases), bases, 1.0)
-    if req.method == "zcdp":
-        if req.family != "gaussian":
+    For ``fdp`` this is the mechanism's trade-off curve. For ``zcdp``,
+    ``rdp`` and ``eps_delta`` it is a function from an array of scalar
+    baselines to the success bounds at them; ``eps_delta`` reads off the
+    smallest eps at ``eps_delta_delta`` once, here. ``rdp_order`` pins one
+    RDP order; None takes the best of ``prior_bounds.default_t_grid()``.
+    """
+    if method == "fdp":
+        return accountant.curve_of(spec)
+    k = spec.compositions
+    if method == "zcdp":
+        if spec.family != "gaussian":
             raise ParameterError("zCDP accounting requires the Gaussian family")
-        mu2 = (req.sensitivity / noise_scale) ** 2 * req.compositions
-        rho = mu2 / 2.0
-        with np.errstate(divide="ignore"):
-            root_log = np.sqrt(-np.log(np.maximum(bases, 1e-300)))
-        vals = np.where(root_log >= math.sqrt(rho),
-                        np.exp(-(root_log - math.sqrt(rho)) ** 2), 1.0)
-        return np.where(bases == 0.0, 0.0, np.clip(vals, bases, 1.0))
-    if req.method == "rdp":
-        eps_of_t = _rdp_epsilon_fn(req.family, noise_scale, req.sensitivity,
-                                   req.compositions)
-        if req.rdp_order is not None:
-            grid = [req.rdp_order]
-        else:
-            grid = prior_bounds.default_t_grid()
-        return prior_bounds.srr_bound_rdp_curve(bases, eps_of_t, grid)
-    # eps_delta: read off the smallest eps at the configured delta, then use
-    # the single-pair (eps, delta) curve
-    eps = _epsilon_at_delta(spec, req.eps_delta_delta)
-    f = curve_from_epsilon_delta(eps, req.eps_delta_delta)
-    return np.clip(1.0 - f(bases), bases, 1.0)
+        rho = (spec.sensitivity / spec.noise_scale) ** 2 * k / 2.0
+        return lambda bases: prior_bounds.srr_bound_zcdp(bases, rho)
+    if method == "rdp":
+        if rdp_order is not None and not rdp_order > 1:
+            raise ParameterError("rdp_order must be > 1")
+        # mu for the Gaussian, eps for Laplace
+        scale = spec.sensitivity / spec.noise_scale
+        rdp_epsilon = _RDP_EPSILON.get(spec.family)
+        if rdp_epsilon is None:
+            raise ParameterError(
+                f"RDP accounting not supported for family {spec.family!r}")
+        grid = (prior_bounds.default_t_grid() if rdp_order is None
+                else [rdp_order])
+        return lambda bases: prior_bounds.srr_bound_rdp_curve(
+            bases, lambda t: rdp_epsilon(t, scale, k), grid)
+    if method == "eps_delta":
+        # the single-pair curve at the smallest eps at the configured delta
+        eps = _epsilon_at_delta(accountant.curve_of(spec), eps_delta_delta)
+        return _curve_success(curve_from_epsilon_delta(eps, eps_delta_delta))
+    raise ParameterError(f"unknown method {method!r}")
 
 
-def _succ_at_base(req: CalibrationRequest, noise_scale: float,
-                  base: float) -> float:
-    """Success bound at a fixed scalar baseline under the requested method."""
-    return float(_succ_at_bases(req, noise_scale, np.array([base]))[0])
+def _curve_success(f: TradeoffCurve):
+    """Success bound 1 - f(base), clamped to [base, 1], over base arrays."""
+    return lambda bases: np.clip(1.0 - f(bases), bases, 1.0)
 
 
-def _epsilon_at_delta(spec: MechanismSpec, delta: float) -> float:
-    """Smallest eps such that the mechanism satisfies (eps, delta)-DP."""
-    f = accountant.curve_of(spec)
+def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
+    """(base, success, advantage) of a ``method_bound`` at one baseline.
+
+    The worst-case baseline has no scalar value; it gives base 0, the
+    vacuous success 1 and the largest advantage over all baselines.
+    """
+    if baseline.kind == "worst_case":
+        if isinstance(bound, TradeoffCurve):
+            return 0.0, 1.0, risk.adv_bound_worst_case(bound)
+        return 0.0, 1.0, _worst_case_adv(bound)
+    base = risk.baseline_value(baseline)
+    if not isinstance(bound, TradeoffCurve):
+        succ = float(bound(np.array([base]))[0])
+    elif baseline.kind == "bernoulli":
+        succ = risk.bernoulli_succ_bound(bound, baseline.pi)
+    else:
+        succ = float(_curve_success(bound)(np.array([base]))[0])
+    return base, succ, max(0.0, succ - base)
+
+
+def _epsilon_at_delta(f: TradeoffCurve, delta: float) -> float:
+    """Smallest eps such that the curve f satisfies (eps, delta)-DP."""
     if delta_for_epsilon(f, 0.0) <= delta:
         return 0.0
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while delta_for_epsilon(f, hi) > delta:
         hi *= 2.0
         if hi > 1e6:
             raise ParameterError("cannot find finite epsilon at this delta")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if delta_for_epsilon(f, mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(lambda e: delta_for_epsilon(f, e) <= delta, 0.0, hi,
+                   steps=100)
 
 
-def _worst_case_adv(req: CalibrationRequest, noise_scale: float) -> float:
-    """Largest advantage over all scalar baselines under the method."""
-    if req.method == "fdp":
-        spec = MechanismSpec(family=req.family, noise_scale=noise_scale,
-                             sensitivity=req.sensitivity,
-                             compositions=req.compositions)
-        return risk.adv_bound_worst_case(accountant.curve_of(spec))
+def _worst_case_adv(succ) -> float:
+    """Largest advantage over all scalar baselines of a success bound."""
     bases = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 512),
                             np.logspace(-9, -0.05, 128)])
-    vals = _succ_at_bases(req, noise_scale, bases) - bases
+    vals = succ(bases) - bases
     i = int(np.argmax(vals))
     best, b0 = float(vals[i]), float(bases[i])
     lo = max(1e-9, b0 - 5e-3)
     hi = min(1.0 - 1e-9, b0 + 5e-3)
     for _ in range(6):
         bs = np.linspace(lo, hi, 65)
-        vs = _succ_at_bases(req, noise_scale, bs) - bs
+        vs = succ(bs) - bs
         j = int(np.argmax(vs))
         if vs[j] > best:
             best, b0 = float(vs[j]), float(bs[j])
@@ -184,24 +180,15 @@ def risk_at(req: CalibrationRequest, noise_scale: float) -> float:
     """The requested risk bound (advantage or success) at one noise scale."""
     if not noise_scale > 0:
         raise ParameterError("noise_scale must be > 0")
-    baseline = req.baseline
-    if baseline.kind == "worst_case":
-        if req.target_kind == "success":
-            raise ParameterError(
-                "worst-case baseline admits no success target; use advantage")
-        return _worst_case_adv(req, noise_scale)
-    if baseline.kind == "bernoulli" and req.method == "fdp":
-        spec = MechanismSpec(family=req.family, noise_scale=noise_scale,
-                             sensitivity=req.sensitivity,
-                             compositions=req.compositions)
-        succ = risk.bernoulli_succ_bound(accountant.curve_of(spec), baseline.pi)
-        base = risk.baseline_value(baseline)
-    else:
-        base = risk.baseline_value(baseline)
-        succ = _succ_at_base(req, noise_scale, base)
-    if req.target_kind == "success":
-        return succ
-    return max(0.0, succ - base)
+    if req.baseline.kind == "worst_case" and req.target_kind == "success":
+        raise ParameterError(
+            "worst-case baseline admits no success target; use advantage")
+    spec = MechanismSpec(family=req.family, noise_scale=noise_scale,
+                         sensitivity=req.sensitivity,
+                         compositions=req.compositions)
+    bound = method_bound(spec, req.method, req.rdp_order, req.eps_delta_delta)
+    _, succ, adv = bound_at(bound, req.baseline)
+    return succ if req.target_kind == "success" else adv
 
 
 # --------------------------------------------------------------------------

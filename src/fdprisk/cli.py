@@ -141,7 +141,7 @@ def _load_scenario(path: str) -> dict:
     if not cp.has_section("mechanism"):
         raise ParameterError("scenario needs a [mechanism] section")
     mech_sec = dict(cp["mechanism"])
-    mech: dict = {"section": mech_sec}
+    mech: dict = {}
     if "curve_file" in mech_sec:
         with open(mech_sec["curve_file"]) as fh:
             mech["kind"] = "curve"
@@ -159,10 +159,7 @@ def _load_scenario(path: str) -> dict:
                                                           mech["delta"])
     else:
         mech["kind"] = "spec"
-        mech["spec"] = accountant.spec_from_config(
-            "[mechanism]\n" + "\n".join(f"{k} = {v}"
-                                        for k, v in mech_sec.items()),
-            is_text=True)
+        mech["spec"] = accountant.spec_from_section(mech_sec)
         mech["curve"] = accountant.curve_of(mech["spec"])
     baselines = []
     if cp.has_section("baselines"):
@@ -194,15 +191,16 @@ def _mech_params(mech: dict) -> dict:
 
 
 def _bound_report(mech: dict, baseline_label: str, baseline: BaselineSpec,
-                  method_label: str, method: str,
-                  rdp_order: float | None) -> RiskReport:
+                  method_label: str, method: str, rdp_order: float | None,
+                  bounds: dict) -> RiskReport:
+    """One row of the bound table; ``bounds`` caches each method's bound."""
     params = _mech_params(mech)
     params["baseline"] = baseline_label
-    curve = mech["curve"]
-
     if baseline.kind == "pso_weight":
+        # union singling-out bounds over the n records, not a method bound
         if method == "fdp":
-            succ = prior_bounds.pso_bound_fdp(baseline.n, baseline.w, curve)
+            succ = prior_bounds.pso_bound_fdp(baseline.n, baseline.w,
+                                              mech["curve"])
         elif method == "eps_delta":
             if mech["kind"] != "eps_delta":
                 raise ParameterError(
@@ -213,47 +211,21 @@ def _bound_report(mech: dict, baseline_label: str, baseline: BaselineSpec,
             raise ParameterError(
                 f"method {method_label!r} has no singling-out bound")
         base = risk.baseline_value(baseline)
-        return RiskReport(method=method_label, baseline_value=base,
-                          success_bound=succ,
-                          advantage_bound=max(0.0, succ - base),
-                          parameters=params)
-
-    if method == "fdp":
-        if baseline.kind == "worst_case":
-            adv = risk.adv_bound_worst_case(curve)
-            return RiskReport(method=method_label, baseline_value=0.0,
-                              success_bound=1.0, advantage_bound=adv,
-                              parameters=params)
-        if baseline.kind == "bernoulli":
-            base = risk.baseline_value(baseline)
-            succ = risk.bernoulli_succ_bound(curve, baseline.pi)
-        else:
-            base = risk.baseline_value(baseline)
-            succ = risk.succ_bound(curve, base)
-        return RiskReport(method=method_label, baseline_value=base,
-                          success_bound=succ,
-                          advantage_bound=max(0.0, succ - base),
-                          parameters=params)
-
-    if mech["kind"] != "spec":
-        raise ParameterError(
-            f"method {method_label!r} needs a parametric mechanism spec")
-    spec = mech["spec"]
-    req = CalibrationRequest(family=spec.family, target_kind="advantage",
-                             target_value=0.5, baseline=baseline,
-                             method=method, sensitivity=spec.sensitivity,
-                             compositions=spec.compositions,
-                             rdp_order=rdp_order)
-    if baseline.kind == "worst_case":
-        adv = calibrate.risk_at(req, spec.noise_scale)
-        return RiskReport(method=method_label, baseline_value=0.0,
-                          success_bound=1.0, advantage_bound=adv,
-                          parameters=params)
-    base = risk.baseline_value(baseline)
-    succ = calibrate._succ_at_base(req, spec.noise_scale, base)
+        adv = max(0.0, succ - base)
+    else:
+        key = (method, rdp_order)
+        if key not in bounds:
+            if method == "fdp":
+                bounds[key] = mech["curve"]
+            elif mech["kind"] != "spec":
+                raise ParameterError(f"method {method_label!r} needs a "
+                                     "parametric mechanism spec")
+            else:
+                bounds[key] = calibrate.method_bound(mech["spec"], method,
+                                                     rdp_order)
+        base, succ, adv = calibrate.bound_at(bounds[key], baseline)
     return RiskReport(method=method_label, baseline_value=base,
-                      success_bound=min(1.0, succ),
-                      advantage_bound=max(0.0, min(1.0, succ) - base),
+                      success_bound=succ, advantage_bound=adv,
                       parameters=params)
 
 
@@ -262,12 +234,13 @@ def cmd_bound(args) -> int:
     rows: list[str] = []
     reports: list[RiskReport] = []
     errors: list[str] = []
+    bounds: dict = {}
     n_ok = 0
     for b_label, baseline in scenario["baselines"]:
         for m_label, method, order in scenario["methods"]:
             try:
                 rep = _bound_report(scenario["mechanism"], b_label, baseline,
-                                    m_label, method, order)
+                                    m_label, method, order, bounds)
                 reports.append(rep)
                 rows.append(rep.csv_row())
                 n_ok += 1

@@ -91,24 +91,3 @@ def optimal_attack_success(channels: np.ndarray, prior: np.ndarray) -> float:
         best = max(best, succ)
     return float(best)
 
-
-def discretize_continuous_pair(pdf_p, pdf_q, lo: float, hi: float,
-                               cells: int = 100_000) -> DiscretePair:
-    """Midpoint discretization of two continuous densities on [lo, hi].
-
-    Residual tail mass is assigned to two extra cells on the side where each
-    density carries it, preserving both totals exactly.
-    """
-    edges = np.linspace(lo, hi, cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    width = edges[1] - edges[0]
-    p = pdf_p(mids) * width
-    q = pdf_q(mids) * width
-    # park the (tiny) unaccounted tail mass in sentinel cells at each end
-    p_tail = max(0.0, 1.0 - p.sum())
-    q_tail = max(0.0, 1.0 - q.sum())
-    p = np.concatenate([[p_tail / 2], p / p.sum() * (1.0 - p_tail), [p_tail / 2]])
-    q = np.concatenate([[q_tail / 2], q / q.sum() * (1.0 - q_tail), [q_tail / 2]])
-    p[0] += 1.0 - p.sum()
-    q[0] += 1.0 - q.sum()
-    return DiscretePair(p=p, q=q)

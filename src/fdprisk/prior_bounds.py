@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .tradeoff import ParameterError, TradeoffCurve
+from .tradeoff import ParameterError, TradeoffCurve, _bisect
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,47 +75,44 @@ def srr_bound_rdp(base: float, guarantee: RdpGuarantee) -> float:
     return 1.0 if log_val >= 0 else float(math.exp(log_val))
 
 
-def srr_bound_zcdp(base: float, rho: float) -> float:
+def srr_bound_zcdp(base, rho: float):
     """Reconstruction success under rho-zCDP.
 
     exp(-(sqrt(log 1/base) - sqrt(rho))^2) while sqrt(log 1/base) >= sqrt(rho),
-    else vacuous; clamped to [base, 1]. base = 0 returns the limit 0 with a
-    warning since the closed form is undefined there.
+    else vacuous; clamped to [base, 1]. ``base`` may be a scalar or an array
+    of baselines. base = 0 returns the limit 0, with a warning for a scalar
+    base, since the closed form is undefined there.
     """
-    if not 0.0 <= base <= 1.0:
+    b = np.asarray(base, dtype=float)
+    if not np.all((b >= 0) & (b <= 1)):
         raise ParameterError(f"base must lie in [0, 1], got {base}")
     if not rho >= 0:
         raise ParameterError(f"rho must be >= 0, got {rho}")
-    if base == 0.0:
+    if b.ndim == 0 and b == 0.0:
         warnings.warn("zCDP reconstruction bound at base=0 returns the limit 0",
                       stacklevel=2)
-        return 0.0
-    if base == 1.0:
-        return 1.0
-    root_log = math.sqrt(math.log(1.0 / base))
-    if root_log < math.sqrt(rho):
-        return 1.0
-    val = math.exp(-(root_log - math.sqrt(rho)) ** 2)
-    return float(min(1.0, max(base, val)))
+    root_log = np.sqrt(-np.log(np.maximum(b, 1e-300)))
+    vals = np.where(root_log >= math.sqrt(rho),
+                    np.exp(-(root_log - math.sqrt(rho)) ** 2), 1.0)
+    out = np.where(b == 0.0, 0.0, np.clip(vals, b, 1.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def srr_bound_rdp_curve(base, eps_of_t, t_grid):
     """Best reconstruction bound over an RDP curve: min over orders t.
 
-    ``base`` may be a scalar or an array of baselines; the minimization over
-    the order grid is vectorized.
+    ``base`` may be a scalar or an array of baselines; ``eps_of_t`` maps an
+    array of orders to their RDP epsilons. The minimization over the order
+    grid is vectorized.
     """
-    grid = np.asarray(list(t_grid), dtype=float)
+    grid = np.asarray(t_grid, dtype=float).ravel()
     if grid.size == 0:
         raise ParameterError("t grid must be non-empty")
     if np.any(grid <= 1):
         raise ParameterError("all RDP orders must be > 1")
-    try:
-        eps = np.asarray(eps_of_t(grid), dtype=float)
-        if eps.shape != grid.shape:
-            raise TypeError
-    except Exception:
-        eps = np.array([float(eps_of_t(float(t))) for t in grid])
+    eps = np.asarray(eps_of_t(grid), dtype=float)
+    if eps.shape != grid.shape:
+        raise ParameterError("eps_of_t must give one epsilon per order")
     if np.any(eps < 0):
         raise ParameterError("RDP epsilons must be >= 0")
     b = np.asarray(base, dtype=float)
@@ -137,23 +134,30 @@ def default_t_grid(n: int = 400, t_max: float = 512.0) -> np.ndarray:
     return 1.0 + np.logspace(-4, math.log10(t_max - 1.0), n)
 
 
-def gaussian_rdp_epsilon(t: float, mu: float) -> float:
-    """Renyi divergence of a mu-separated Gaussian pair: t mu^2 / 2."""
-    if not t > 1:
+def _check_orders(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 1):
         raise ParameterError(f"order must be > 1, got {t}")
-    return float(t * mu * mu / 2.0)
+    return t
 
 
-def laplace_rdp_epsilon(t: float, epsilon: float) -> float:
-    """Renyi divergence of order t of a unit-shifted Laplace(1/epsilon) pair."""
-    if not t > 1:
-        raise ParameterError(f"order must be > 1, got {t}")
+def gaussian_rdp_epsilon(t, mu: float, k: int = 1):
+    """Renyi divergence of k composed mu-separated Gaussian pairs,
+    k t mu^2 / 2; ``t`` may be a scalar order or an array of orders."""
+    out = k * _check_orders(t) * mu * mu / 2.0
+    return float(out) if out.ndim == 0 else out
+
+
+def laplace_rdp_epsilon(t, epsilon: float, k: int = 1):
+    """Renyi divergence of order t of k composed unit-shifted
+    Laplace(1/epsilon) pairs; ``t`` may be a scalar or an array of orders."""
+    t = _check_orders(t)
     if not epsilon >= 0:
         raise ParameterError("epsilon must be >= 0")
-    e = epsilon
-    inner = (t / (2.0 * t - 1.0)) * math.exp((t - 1.0) * e) \
-        + ((t - 1.0) / (2.0 * t - 1.0)) * math.exp(-t * e)
-    return float(math.log(inner) / (t - 1.0))
+    inner = (t / (2.0 * t - 1.0)) * np.exp((t - 1.0) * epsilon) \
+        + ((t - 1.0) / (2.0 * t - 1.0)) * np.exp(-t * epsilon)
+    out = k * np.log(inner) / (t - 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def optimal_composition_pure(epsilon: float, k: int, delta_target: float) -> tuple:
@@ -189,11 +193,6 @@ def optimal_composition_pure(epsilon: float, k: int, delta_target: float) -> tup
 
     if delta_of(0.0) <= delta_target:
         return 0.0, delta_target
-    lo, hi = 0.0, k * epsilon
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if delta_of(mid) <= delta_target:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi), float(delta_target)
+    eps_g = _bisect(lambda e: delta_of(e) <= delta_target, 0.0, k * epsilon,
+                    steps=200)
+    return float(eps_g), float(delta_target)

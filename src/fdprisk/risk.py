@@ -12,9 +12,9 @@ import dataclasses
 import json
 
 import numpy as np
-from scipy import optimize
 
-from .tradeoff import ParameterError, TradeoffCurve, group_privacy, tv_from_curve
+from .tradeoff import (ParameterError, TradeoffCurve, _concave_max,
+                       group_privacy, tv_from_curve)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,8 +110,7 @@ def bayes_error(f: TradeoffCurve, pi: float) -> float:
     """Minimal weighted test error R_f(pi) = min_alpha (pi*alpha + (1-pi)*f(alpha)).
 
     Piecewise-linear curves are minimized exactly at knots (the objective is
-    linear per segment); analytic curves use bounded scalar minimization
-    seeded by a dense grid.
+    linear per segment); analytic curves use ``tradeoff._concave_max``.
     """
     if not 0.0 <= pi <= 1.0:
         raise ParameterError(f"pi must lie in [0, 1], got {pi}")
@@ -121,17 +120,7 @@ def bayes_error(f: TradeoffCurve, pi: float) -> float:
 
     if f.is_piecewise:
         return float(np.min(obj(f.knots[:, 0])))
-    grid = np.concatenate([np.linspace(0.0, 1.0, 4097),
-                           np.logspace(-16, -0.301, 200),
-                           1.0 - np.logspace(-16, -0.301, 200)])
-    vals = obj(grid)
-    i = int(np.argmin(vals))
-    best, x0 = float(vals[i]), float(grid[i])
-    res = optimize.minimize_scalar(lambda x: float(obj(np.array([x]))[0]),
-                                   bounds=(max(0.0, x0 - 5e-4),
-                                           min(1.0, x0 + 5e-4)),
-                                   method="bounded", options={"xatol": 1e-13})
-    return float(min(best, res.fun))
+    return -_concave_max(lambda a: -obj(a))
 
 
 def bernoulli_succ_bound(f: TradeoffCurve, pi: float) -> float:

@@ -337,6 +337,22 @@ def _concave_max(g: Callable[[np.ndarray], np.ndarray],
     return max(best, -float(res.fun))
 
 
+def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
+            steps: int) -> float:
+    """Smallest point found in (lo, hi] where the monotone ``ok`` holds,
+    given ok(lo) false and ok(hi) true: at most ``steps`` halvings, stopping
+    once the midpoint rounds to an end point and so can no longer move."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 # --------------------------------------------------------------------------
 # derived quantities
 
@@ -417,6 +433,14 @@ def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
     else:
         d = _concave_max(lambda a: 1.0 - f(a) - e_eps * a)
     return float(min(1.0, max(0.0, d)))
+
+
+def gaussian_mu_at(epsilon: float, delta: float) -> float:
+    """The mu at which the Gaussian curve's delta(epsilon) equals delta: the
+    least private Gaussian that is (epsilon, delta)-DP, for mu in [1e-4, 80]."""
+    return optimize.brentq(
+        lambda m: delta_for_epsilon(gaussian_curve(m), epsilon) - delta,
+        1e-4, 80.0, xtol=1e-12)
 
 
 def profile_from_curve(f: TradeoffCurve, epsilons: Sequence[float]) -> PrivacyProfile:

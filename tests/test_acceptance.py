@@ -27,13 +27,6 @@ def report(num, name, ok, detail=""):
     assert ok, line
 
 
-def gaussian_mu_at(eps, delta):
-    """Invert the Gaussian profile delta(eps) for mu by bisection."""
-    return so.brentq(
-        lambda m: T.delta_for_epsilon(T.gaussian_curve(m), eps) - delta,
-        1e-4, 60.0, xtol=1e-12)
-
-
 def test_criterion_1_bound_dominance():
     t0 = time.time()
     ok = True
@@ -68,7 +61,7 @@ def test_criterion_2_spso_vs_pso():
     for n in (500, 1000, 5000):
         base_pso = n * w * (1 - w) ** (n - 1)
         for eps in np.arange(0.5, 10.01, 0.5):
-            mu = gaussian_mu_at(eps, delta)
+            mu = T.gaussian_mu_at(eps, delta)
             adv_spso = R.adv_bound(T.gaussian_curve(mu), w)
             succ_pso = P.pso_bound_eps_delta(n, w, eps, delta)
             adv_pso = max(0.0, succ_pso - base_pso)
@@ -77,8 +70,8 @@ def test_criterion_2_spso_vs_pso():
     # SPSO saturation point (advantage reaching 0.95) near eps = 35;
     # the PSO bound hits its cap min(1, n e^eps w) far earlier
     sat = so.brentq(
-        lambda e: R.adv_bound(T.gaussian_curve(gaussian_mu_at(e, delta)), w)
-        - 0.95, 5.0, 80.0, xtol=1e-4)
+        lambda e: R.adv_bound(T.gaussian_curve(T.gaussian_mu_at(e, delta)),
+                              w) - 0.95, 5.0, 80.0, xtol=1e-4)
     pso_sat = math.log(1 / (500 * w))  # n=500: saturates once n e^eps w >= 1
     sat_ok = abs(sat - 35.0) <= 3.0 and pso_sat < 10.0
     elapsed = time.time() - t0
@@ -102,7 +95,7 @@ def test_criterion_3_census_worst_case_anchor():
     std = R.adv_bound_worst_case(T.curve_from_epsilon_delta(eps, delta))
     delta_at_eps = T.delta_for_epsilon(f, eps)
     # the least private Gaussian that the pair alone allows
-    mu_profile = gaussian_mu_at(eps, delta)
+    mu_profile = T.gaussian_mu_at(eps, delta)
     elapsed = time.time() - t0
     ok = (abs(eta - 0.52) <= 0.03 and abs(eta - closed) < 1e-9
           and std >= 0.99 and delta_at_eps <= delta and mu_profile >= mu

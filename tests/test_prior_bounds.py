@@ -1,6 +1,7 @@
 """Prior-framework comparison bounds and optimal composition."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -61,6 +62,18 @@ def test_srr_zcdp_values():
     assert P.srr_bound_zcdp(base, math.log(1 / base)) == 1.0
     with pytest.warns(UserWarning):
         assert P.srr_bound_zcdp(0.0, 1.0) == 0.0
+    # arrays give the scalar values elementwise, without the base=0 warning
+    bases = np.array([0.0, math.exp(-4.0), 0.2, 0.3, 1.0])
+    for rho in (0.0, 1.0, math.log(1 / 0.2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = P.srr_bound_zcdp(bases, rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = [P.srr_bound_zcdp(b, rho) for b in bases]
+        assert np.array_equal(got, want)
+    with pytest.raises(T.ParameterError):
+        P.srr_bound_zcdp(np.array([0.1, 1.5]), 1.0)
 
 
 def test_srr_rdp_curve_dominance_and_zcdp_match():
@@ -98,10 +111,25 @@ def test_laplace_rdp_against_numeric_integral():
         integral = mpmath.quad(f, [-mpmath.inf, 0, 1, mpmath.inf])
         want = float(mpmath.log(integral) / (t - 1))
         assert got == pytest.approx(want, rel=1e-9)
+    ts = np.array([1.5, 2.0, 4.0])
+    assert np.array_equal(P.laplace_rdp_epsilon(ts, eps),
+                          [P.laplace_rdp_epsilon(t, eps) for t in ts])
+    # k-fold composition adds the divergences
+    assert P.laplace_rdp_epsilon(ts, eps, 3) == pytest.approx(
+        3 * P.laplace_rdp_epsilon(ts, eps), rel=1e-15)
+    with pytest.raises(T.ParameterError):
+        P.laplace_rdp_epsilon(np.array([2.0, 1.0]), eps)
 
 
 def test_gaussian_rdp_value():
     assert P.gaussian_rdp_epsilon(3.0, 2.0) == pytest.approx(6.0)
+    ts = np.array([1.5, 3.0, 64.0])
+    assert np.array_equal(P.gaussian_rdp_epsilon(ts, 2.0),
+                          [P.gaussian_rdp_epsilon(t, 2.0) for t in ts])
+    assert P.gaussian_rdp_epsilon(ts, 2.0, 3) == pytest.approx(
+        3 * P.gaussian_rdp_epsilon(ts, 2.0), rel=1e-15)
+    with pytest.raises(T.ParameterError):
+        P.gaussian_rdp_epsilon(np.array([2.0, 0.5]), 2.0)
 
 
 # ------------------------------------------------------ optimal composition
