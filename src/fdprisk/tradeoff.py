@@ -215,11 +215,11 @@ def _upper_envelope_of_lines(slopes: np.ndarray, intercepts: np.ndarray):
                 break
         hull_s.append(s)
         hull_c.append(c)
-    knots_x = np.array([0.0] + [x for x in xs if 0.0 < x < 1.0] + [1.0])
-    knots_x = np.unique(knots_x)
+    knots_x = np.unique([0.0] + [x for x in xs if 0.0 < x < 1.0] + [1.0])
     s_arr, c_arr = np.array(hull_s), np.array(hull_c)
-    knots_y = (c_arr[None, :] + s_arr[None, :] * knots_x[:, None]).max(axis=1)
-    return knots_x, knots_y
+    values = s_arr[None, :] * knots_x[:, None]
+    values += c_arr[None, :]  # in place: one 128 MB matrix, not two
+    return knots_x, values.max(axis=1)
 
 
 def curve_from_profile(profile: PrivacyProfile) -> TradeoffCurve:

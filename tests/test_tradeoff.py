@@ -123,6 +123,18 @@ def test_profile_envelope_approximates_gaussian():
     assert np.max(gap) < 1e-3
 
 
+def test_envelope_knot_values_are_the_max_over_every_line():
+    rng = np.random.default_rng(3)
+    eps = np.sort(rng.uniform(0.0, 8.0, 300))
+    slopes = np.concatenate([-np.exp(eps), -np.exp(-eps), [0.0]])
+    intercepts = np.concatenate([rng.uniform(0.5, 1.0, 300),
+                                 rng.uniform(0.0, 0.5, 300), [0.0]])
+    kx, ky = T._upper_envelope_of_lines(slopes, intercepts)
+    # bit for bit what one broadcast over all lines gives
+    ref = (intercepts[None, :] + slopes[None, :] * kx[:, None]).max(axis=1)
+    assert np.array_equal(ky, ref)
+
+
 def test_empty_profile_rejected():
     with pytest.raises(T.ParameterError):
         T.PrivacyProfile(np.zeros((0, 2)))
