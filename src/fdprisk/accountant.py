@@ -14,8 +14,8 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.stats import norm
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.special import ndtr
 
 from .tradeoff import (ParameterError, PrivacyProfile, TradeoffCurve,
                        curve_from_profile, gaussian_curve, laplace_curve,
@@ -141,8 +141,7 @@ def pld_of_gaussian(mu: float, grid_step: float = 1e-3,
     hi = mean + tail_stds * sd
     n = int(math.ceil((hi - lo) / grid_step))
     edges = lo + grid_step * np.arange(n + 1)
-    cdf = norm.cdf(edges, loc=mean, scale=sd)
-    masses = np.maximum(np.diff(cdf), 0.0)
+    masses = np.maximum(np.diff(ndtr((edges - mean) / sd)), 0.0)
     truncation = float(max(0.0, 1.0 - masses.sum()))
     return PldGrid(offset=float(edges[1]), step=grid_step, masses=masses,
                    truncation_mass=truncation)
@@ -170,8 +169,11 @@ def pld_compose(pld: PldGrid, k: int) -> PldGrid:
         return pld
 
     def combine(a_masses, a_off, b_masses, b_off):
-        m = np.maximum(fftconvolve(a_masses, b_masses), 0.0)
-        return m, a_off + b_off
+        # full linear convolution, at a fast FFT length
+        n = a_masses.size + b_masses.size - 1
+        size = next_fast_len(n, real=True)
+        m = irfft(rfft(a_masses, size) * rfft(b_masses, size), size)[:n]
+        return np.maximum(m, 0.0), a_off + b_off
 
     base_m, base_off = pld.masses, pld.offset
     result_m, result_off = None, 0.0

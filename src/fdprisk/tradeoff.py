@@ -14,12 +14,24 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr, ndtri
 
 
 class ParameterError(ValueError):
     """An input parameter is outside its admissible domain."""
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf where it overflows: a steeper line only lowers a curve."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _times(e: float, a: np.ndarray) -> np.ndarray:
+    """e * a for a >= 0, with inf * 0 taken as 0 (the value at a = 0)."""
+    return e * a if e < math.inf else np.where(a > 0, math.inf, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -184,10 +196,10 @@ def curve_from_epsilon_delta(epsilon: float, delta: float) -> TradeoffCurve:
     if math.isinf(epsilon) or delta == 1.0:
         return TradeoffCurve(kind="zero", provenance="eps_delta(degenerate)",
                              params=(epsilon, delta), fn=lambda a: np.zeros_like(a))
-    e_pos, e_neg = math.exp(epsilon), math.exp(-epsilon)
+    e_pos, e_neg = _exp(epsilon), math.exp(-epsilon)
 
     def fn(a):
-        return np.maximum(0.0, np.maximum(1.0 - delta - e_pos * a,
+        return np.maximum(0.0, np.maximum(1.0 - delta - _times(e_pos, a),
                                           e_neg * (1.0 - delta - a)))
 
     return TradeoffCurve(kind="eps_delta", params=(epsilon, delta),
@@ -257,7 +269,7 @@ def gaussian_curve(mu: float) -> TradeoffCurve:
         raise ParameterError(f"mu must be >= 0, got {mu}")
 
     def fn(a):
-        return norm.cdf(norm.isf(np.asarray(a, dtype=float)) - mu)
+        return ndtr(-ndtri(np.asarray(a, dtype=float)) - mu)
 
     return TradeoffCurve(kind="gaussian", params=(mu,),
                          provenance=f"gaussian(mu={mu!r})", fn=fn)
@@ -272,15 +284,14 @@ def laplace_curve(epsilon: float) -> TradeoffCurve:
     """
     if not (epsilon >= 0):
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-    e_pos, e_neg = math.exp(epsilon), math.exp(-epsilon)
+    e_pos, e_neg = _exp(epsilon), math.exp(-epsilon)
 
     def fn(a):
         a = np.asarray(a, dtype=float)
         with np.errstate(divide="ignore"):
             mid = np.where(a > 0, e_neg / (4.0 * np.maximum(a, 1e-300)), 1.0)
-        out = np.where(a < e_neg / 2.0, 1.0 - e_pos * a,
-                       np.where(a <= 0.5, mid, e_neg * (1.0 - a)))
-        return out
+        return np.where(a < e_neg / 2.0, 1.0 - _times(e_pos, a),
+                        np.where(a <= 0.5, mid, e_neg * (1.0 - a)))
 
     return TradeoffCurve(kind="laplace", params=(epsilon,),
                          provenance=f"laplace(eps={epsilon!r})", fn=fn)
@@ -309,6 +320,7 @@ def _concave_max(g: Callable[[np.ndarray], np.ndarray],
                  extra_candidates: Iterable[float] = (),
                  rounds: int = 4, n: int = 4097) -> float:
     """Maximum of a concave function on [0, 1] via grid seeding + refinement."""
+    from scipy import optimize  # loaded on first use: it is slow to import
     cand = np.concatenate([
         np.linspace(0.0, 1.0, n),
         np.logspace(-16, -0.301, 200),
@@ -364,10 +376,11 @@ def tv_from_curve(f: TradeoffCurve) -> TvParameter:
     """
     if f.kind == "eps_delta":
         eps, delta = f.params
-        eta = (math.exp(eps) - 1.0 + 2.0 * delta) / (math.exp(eps) + 1.0)
+        e = _exp(eps)
+        eta = (e - 1.0 + 2.0 * delta) / (e + 1.0) if e < math.inf else 1.0
     elif f.kind == "gaussian":
         (mu,) = f.params
-        eta = 2.0 * norm.cdf(mu / 2.0) - 1.0
+        eta = 2.0 * ndtr(mu / 2.0) - 1.0
     elif f.kind == "laplace":
         (eps,) = f.params
         eta = 1.0 - math.exp(-eps / 2.0)
@@ -405,8 +418,8 @@ def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
     """Smallest delta at which f dominates the (epsilon, delta) curve.
 
     delta(eps) = max_alpha (1 - f(alpha) - e^eps * alpha), by convex
-    conjugacy. Closed form for the Gaussian family (the maximizing alpha sits
-    deep in the tail, where grid search loses all precision).
+    conjugacy. Closed forms for the Gaussian family (the maximizing alpha sits
+    deep in the tail, where grid search loses all precision) and Laplace.
     """
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
@@ -414,9 +427,13 @@ def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
         (mu,) = f.params
         if mu == 0.0:
             return 0.0
-        d = norm.cdf(-epsilon / mu + mu / 2.0) \
-            - math.exp(epsilon) * norm.cdf(-epsilon / mu - mu / 2.0)
+        e_eps, x = _exp(epsilon), -epsilon / mu - mu / 2.0
+        tail = (e_eps * ndtr(x) if e_eps < math.inf
+                else math.exp(epsilon + log_ndtr(x)))
+        d = ndtr(-epsilon / mu + mu / 2.0) - tail
         return float(min(1.0, max(0.0, d)))
+    if f.kind == "laplace":  # 1 - e^((eps - eps0) / 2) below eps0, else 0
+        return max(0.0, -math.expm1(min(0.0, epsilon - f.params[0]) / 2.0))
     if f.kind == "eps_delta":
         eps0, delta0 = f.params
         if epsilon >= eps0:
@@ -438,6 +455,7 @@ def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
 def gaussian_mu_at(epsilon: float, delta: float) -> float:
     """The mu at which the Gaussian curve's delta(epsilon) equals delta: the
     least private Gaussian that is (epsilon, delta)-DP, for mu in [1e-4, 80]."""
+    from scipy import optimize  # loaded on first use: it is slow to import
     return optimize.brentq(
         lambda m: delta_for_epsilon(gaussian_curve(m), epsilon) - delta,
         1e-4, 80.0, xtol=1e-12)
