@@ -33,7 +33,8 @@ def run(checkout: str, workload: str, seed: int, seconds: float,
 
 
 def quartiles(xs: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    q1, med, q3 = (statistics.quantiles(xs, n=4, method="inclusive")
+                   if len(xs) > 1 else xs * 3)
     return {"median": med, "q1": q1, "q3": q3, "values": xs}
 
 

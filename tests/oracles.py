@@ -69,6 +69,39 @@ def zcdp_rho_at_worst_case_adv_hp(adv) -> float:
                                  (lo, hi), solver="anderson"))
 
 
+def laplace_delta_hp(eps0, eps) -> float:
+    """delta(eps) = sup_alpha (1 - f(alpha) - e^eps alpha) for the unit-shift
+    Laplace(1/eps0) pair at 50 digits. f comes from the Laplace CDF F as
+    f(alpha) = F(F^-1(1 - alpha) - 1) (threshold tests on x are optimal for
+    a shift), and the concave sup is found by golden-section search."""
+    b, e_eps = 1 / mpmath.mpf(eps0), mpmath.e**mpmath.mpf(eps)
+
+    def cdf(x):
+        return mpmath.e**(x / b) / 2 if x < 0 else 1 - mpmath.e**(-x / b) / 2
+
+    def icdf(p):
+        return b * mpmath.log(2 * p) if p < 0.5 else -b * mpmath.log(2 - 2 * p)
+
+    def g(a):
+        return 1 - cdf(icdf(1 - a) - 1) - e_eps * a
+
+    r = (mpmath.sqrt(5) - 1) / 2
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    g1, g2 = g(x1), g(x2)
+    for _ in range(240):
+        if g1 < g2:
+            lo, x1, g1 = x1, x2, g2
+            x2 = lo + r * (hi - lo)
+            g2 = g(x2)
+        else:
+            hi, x2, g2 = x2, x1, g1
+            x1 = hi - r * (hi - lo)
+            g1 = g(x1)
+    # g(0) = 0: the sup at eps >= eps0
+    return float(max(0, g1, g2))
+
+
 def grid_max(g, lo=0.0, hi=1.0, n=20001, rounds=6):
     """Maximum of a scalar function on [lo, hi] by grid + refinement."""
     best_x, best = lo, -math.inf

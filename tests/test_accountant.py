@@ -120,9 +120,42 @@ def test_pld_of_laplace_step_too_coarse():
         A.pld_of_laplace(0.2, grid_step=0.5)
 
 
+def _pld_compose_fftconvolve(pld, k):
+    """pld_compose as it was built on scipy.signal.fftconvolve."""
+    from scipy.signal import fftconvolve
+    base_m, base_off = pld.masses, pld.offset
+    result_m, result_off = None, 0.0
+    while k:
+        if k & 1:
+            if result_m is None:
+                result_m, result_off = base_m.copy(), base_off
+            else:
+                result_m = np.maximum(fftconvolve(result_m, base_m), 0.0)
+                result_off += base_off
+        k >>= 1
+        if k:
+            base_m = np.maximum(fftconvolve(base_m, base_m), 0.0)
+            base_off += base_off
+    return result_m, result_off
+
+
 def test_pld_compose_identity():
     pld = A.pld_of_laplace(0.2, grid_step=1e-3)
     assert A.pld_compose(pld, 1) is pld
+    # bit-identical with the scipy.signal composition it replaced
+    plds = [A.pld_of_laplace(0.2, grid_step=1e-3),
+            A.pld_of_laplace(1.0, grid_step=1e-4),
+            A.pld_of_randomized_response(0.1),
+            A.pld_of_randomized_response(0.3)]
+    for pld in plds:
+        for k in (2, 3, 18):
+            got = A.pld_compose(pld, k)
+            masses, offset = _pld_compose_fftconvolve(pld, k)
+            if masses.sum() > 1.0:
+                masses *= 1.0 / masses.sum()
+            assert got.offset == offset
+            assert np.array_equal(got.masses, masses)
+            assert got.truncation_mass == max(0.0, 1.0 - masses.sum())
 
 
 def test_pld_gaussian_composition_matches_analytic():
@@ -141,6 +174,15 @@ def test_pld_gaussian_composition_matches_analytic():
 def test_pld_gaussian_profile_self_consistency():
     mu = 1.0
     pld = A.pld_of_gaussian(mu, grid_step=5e-4)
+    # bit-identical with the scipy.stats form it replaced
+    from scipy.stats import norm
+    for m in (0.3, mu, 4.0):
+        mean, sd = m * m / 2.0, m
+        lo, hi = mean - 12.0 * sd, mean + 12.0 * sd
+        edges = lo + 5e-4 * np.arange(int(math.ceil((hi - lo) / 5e-4)) + 1)
+        cdf = norm.cdf(edges, loc=mean, scale=sd)
+        got = A.pld_of_gaussian(m, grid_step=5e-4)
+        assert np.array_equal(got.masses, np.maximum(np.diff(cdf), 0.0))
     eps_grid = np.linspace(0.0, 5.0, 26)
     prof = A.profile_from_pld(pld, eps_grid)
     analytic = np.array([oracles.gaussian_profile_delta_hp(mu, e)

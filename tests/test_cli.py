@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from fdprisk import cli
+from fdprisk import calibrate, cli
+from fdprisk.calibrate import CalibrationRequest
 
 GAUSS_SCENARIO = """
 [scenario]
@@ -74,6 +79,60 @@ def test_tradeoff_determinism(capsys):
     _, out1 = run(capsys, "tradeoff", "--laplace-eps", "0.2")
     _, out2 = run(capsys, "tradeoff", "--laplace-eps", "0.2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("source", ["--epsilon", "--laplace-eps"])
+def test_tradeoff_large_epsilon_no_overflow(capsys, source):
+    # e^800 overflows a float; it is taken as inf, which only lowers f
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "tradeoff", source, "800",
+                        "--grid-points", "11")
+    assert code == 0
+    rows = [tuple(map(float, r.split(","))) for r in out.split()[1:]]
+    assert rows[0] == (0.0, 1.0)
+    assert all(f == 0.0 for _, f in rows[1:])
+
+
+@pytest.mark.parametrize("family, method, baseline", [
+    ("laplace", "fdp", "fixed:0.1"),  # eps = 1000 at the bracket's low end
+    ("gaussian", "eps_delta", "worst_case"),  # eps doubled past 709
+])
+def test_calibrate_default_bracket_no_overflow(capsys, family, method,
+                                               baseline):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "calibrate", "--family", family,
+                        "--methods", method, "--target-adv", "0.15",
+                        "--baseline", baseline)
+    assert code == 0
+    sigma = float(out.splitlines()[1].split(",")[1])
+    # the same calibration from a bracket that never reaches large eps
+    ref = calibrate.calibrate_noise(CalibrationRequest(
+        family=family, target_kind="advantage", target_value=0.15,
+        baseline=cli.parse_baseline(baseline)[1], method=method,
+        bracket=(1.0, 1e3)))
+    assert abs(math.log(sigma / ref.noise_scale)) <= 1e-4
+
+
+def test_cli_start_skips_slow_scipy_modules():
+    # a fresh interpreter: this one has loaded scipy.stats already
+    script = (
+        "import contextlib, io, sys\n"
+        "import fdprisk.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['bound', '--scenario', sys.argv[1]])\n"
+        "print(code, sorted({'scipy.stats', 'scipy.signal', 'scipy.optimize'}"
+        " & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", script,
+         os.path.join(root, "scenarios", "example_gaussian.cfg")],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
 
 
 def test_tradeoff_missing_source_is_config_error(capsys):

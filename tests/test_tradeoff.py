@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,12 @@ def test_gaussian_trivial_and_oracle():
     want = oracles.gaussian_tradeoff_hp(0.75, 0.05)
     assert got == pytest.approx(want, abs=1e-12)
     assert T.gaussian_curve(2.0)(1.0 - 1e-12) < 1e-9
+    # bit-identical with the scipy.stats form it replaced
+    from scipy.stats import norm
+    a = np.concatenate([[0.0, 1.0, 1e-300, 5e-324, 1.0 - 1e-16], GRID])
+    for mu in (0.0, 1e-9, 0.75, 3.0, 40.0):
+        assert np.array_equal(T.gaussian_curve(mu).fn(a),
+                              norm.cdf(norm.isf(a) - mu))
 
 
 @given(mu=st.floats(0.0, 6.0))
@@ -157,8 +164,8 @@ def test_tv_gaussian_and_laplace():
     from scipy.stats import norm
     for mu in (0.5, 1.0, 2.0):
         f = T.gaussian_curve(mu)
-        assert T.tv_from_curve(f).eta == pytest.approx(
-            2 * norm.cdf(mu / 2) - 1, abs=1e-12)
+        # bit-identical with the scipy.stats form it replaced
+        assert T.tv_from_curve(f).eta == 2 * norm.cdf(mu / 2) - 1
         ref, _ = oracles.grid_max(lambda a: 1.0 - f(a) - a)
         assert T.tv_from_curve(f).eta == pytest.approx(ref, abs=1e-9)
     for eps in (0.2, 1.0):
@@ -226,6 +233,49 @@ def test_gaussian_profile_matches_high_precision_oracle():
     got = T.delta_for_epsilon(T.gaussian_curve(mu), 10.6)
     want = oracles.gaussian_profile_delta_hp(mu, 10.6)
     assert got == pytest.approx(want, rel=1e-9)
+    # bit-identical with the scipy.stats form it replaced, up to the largest
+    # eps whose e^eps is a finite float
+    from scipy.stats import norm
+    for mu in (0.05, 0.5, 1.41, 3.0, 10.0, 40.0):
+        for eps in (0.0, 0.1, 1.0, 5.0, 10.6, 50.0, 300.0, 709.0):
+            old = norm.cdf(-eps / mu + mu / 2.0) \
+                - math.exp(eps) * norm.cdf(-eps / mu - mu / 2.0)
+            got = T.delta_for_epsilon(T.gaussian_curve(mu), eps)
+            assert got == float(min(1.0, max(0.0, old)))
+    # beyond it (where math.exp overflows) the log-space form
+    for mu, eps in ((40.0, 710.0), (40.0, 800.0), (45.0, 1000.0)):
+        got = T.delta_for_epsilon(T.gaussian_curve(mu), eps)
+        want = oracles.gaussian_profile_delta_hp(mu, eps)
+        assert 0.01 < want and got == pytest.approx(want, rel=1e-9)
+
+
+def test_large_epsilon_curves_without_overflow():
+    # e^eps past the float range is taken as inf: f(0) stays 1 - delta and
+    # every other value lies at or below the true curve
+    a = np.array([0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (710.0, 800.0, 1e4):
+            f = T.curve_from_epsilon_delta(eps, 0.1)
+            v = f(a)
+            assert v[0] == 0.9 and np.all(v[1:] <= 1e-300)
+            assert T.tv_from_curve(f).eta == 1.0
+            v = T.laplace_curve(eps)(a)
+            e_neg = math.exp(-eps)
+            assert v[0] == 1.0 and v[1] == 0.0  # below 1 - e^eps a > 1/2
+            assert np.allclose(v[2:], [e_neg / 4e-300, e_neg / 4e-12,
+                                       e_neg / 2.0, 0.0], rtol=1e-12, atol=0)
+
+
+def test_laplace_delta_closed_form_against_oracle():
+    for eps0 in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0):
+        f = T.laplace_curve(eps0)
+        for eps in np.linspace(0.0, 1.2 * eps0, 13):
+            got = T.delta_for_epsilon(f, eps)
+            assert abs(got - oracles.laplace_delta_hp(eps0, eps)) <= 1e-15
+            # the numeric maximum it replaced can only come out low
+            old = T._concave_max(lambda a: 1.0 - f(a) - math.exp(eps) * a)
+            assert got >= min(1.0, max(0.0, old)) - 2e-16
 
 
 def test_profile_curve_roundtrip_idempotent():
