@@ -7,10 +7,12 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout at the
 same seed (pair i uses seed i + 1), the parent first in even pairs and the
 change first in odd ones, so a drift in the host's speed favours neither
 side. Then one ``--trace 1`` run per workload and side gives the per-layer
-metrics. Raw result lines are appended to ``<out>.jsonl`` as they arrive;
-the BENCH file holds, per workload, side and metric, the median and
-quartiles, the change's wins over the parent pair by pair, and each side's
-git SHA and versions.
+metrics. Every run lasts the ``run_seconds`` of the parent's BENCHMARK.json.
+Raw result lines are appended to ``<out>.jsonl`` as they arrive; the BENCH
+file holds, per workload, side and metric, the median and quartiles, the
+change's wins over the parent pair by pair, whether each side's runs were
+all correct and how many ops each side failed, and each side's git SHA and
+versions.
 """
 
 from __future__ import annotations
@@ -55,8 +57,11 @@ def summarize(rows: list[dict], better: dict) -> dict:
                 "unit": timed["parent"][0]["metrics"][name]["unit"],
                 "better": better[name], "change_wins": wins,
                 **{s: quartiles(v) for s, v in vals.items()}}
-        entry["correct"] = all(r["correct"] for r in mine)
-        entry["failed"] = sum(r["failed"] for r in mine)
+        sided = {s: [r for r in mine if r["side"] == s] for s in timed}
+        entry["correct"] = {s: all(r["correct"] for r in rs)
+                            for s, rs in sided.items()}
+        entry["failed"] = {s: sum(r["failed"] for r in rs)
+                           for s, rs in sided.items()}
         entry["traced"] = {r["side"]: {k: v["value"]
                                        for k, v in r["metrics"].items()}
                            for r in mine if r["trace"]}
@@ -70,7 +75,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True)
     ap.add_argument("--pairs", nargs="+", required=True,
                     help="workload=count, e.g. cli_cold=10")
-    ap.add_argument("--seconds", type=float, default=12.0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
@@ -81,7 +85,7 @@ def main(argv=None) -> int:
     env: dict = {}
     with open(args.out + ".jsonl", "a") as log:
         def record(side, wl, seed, trace):
-            res = run(sides[side], wl, seed, args.seconds, trace)
+            res = run(sides[side], wl, seed, spec["run_seconds"], trace)
             env[side] = res["notes"]["env"]
             row = {"side": side, "workload": wl, "seed": seed,
                    "trace": trace, **res}
@@ -100,7 +104,7 @@ def main(argv=None) -> int:
                     record(side, wl, i + 1, 0)
             for side in ("parent", "change"):
                 record(side, wl, 1, 1)
-    bench = {"harness": "perfbench/run.py", "seconds": args.seconds,
+    bench = {"harness": "perfbench/run.py", "seconds": spec["run_seconds"],
              "env": {s: {k: v for k, v in e.items() if k != "seed"}
                      for s, e in env.items()},
              "workloads": summarize(rows, better)}

@@ -436,10 +436,10 @@ def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
         return max(0.0, -math.expm1(min(0.0, epsilon - f.params[0]) / 2.0))
     if f.kind == "eps_delta":
         eps0, delta0 = f.params
-        if epsilon >= eps0:
-            return float(delta0)
-        a_star = (1.0 - delta0) / (1.0 + math.exp(eps0))
-        d = delta0 + (math.exp(eps0) - math.exp(epsilon)) * a_star
+        e0, gap = _exp(eps0), min(0.0, epsilon - eps0)
+        if gap == 0.0 or e0 == math.inf:  # (e0 - e^eps) / (1 + e0) <= -expm1(gap)
+            return float(min(1.0, delta0 - (1.0 - delta0) * math.expm1(gap)))
+        d = delta0 + (e0 - math.exp(epsilon)) * ((1.0 - delta0) / (1.0 + e0))
         return float(min(1.0, max(delta0, d)))
     if f.kind == "zero":
         return 1.0

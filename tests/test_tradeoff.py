@@ -260,6 +260,12 @@ def test_large_epsilon_curves_without_overflow():
             v = f(a)
             assert v[0] == 0.9 and np.all(v[1:] <= 1e-300)
             assert T.tv_from_curve(f).eta == 1.0
+            # delta0 + 0.9 (e^eps0 - e^eps) / (1 + e^eps0): 1 far below eps0,
+            # 0.1 + 0.9 (1 - 1/e) one below it, delta0 from eps0 on
+            d = [T.delta_for_epsilon(f, x) for x in (10.0, eps - 1.0, eps, 2 * eps)]
+            assert d[0] == 1.0 and d[2:] == [0.1, 0.1]
+            assert abs(d[1] - (0.1 - 0.9 * math.expm1(-1.0))) <= 1e-15
+            assert np.array_equal(T.profile_from_curve(f, [10.0, eps]).deltas, [1.0, 0.1])
             v = T.laplace_curve(eps)(a)
             e_neg = math.exp(-eps)
             assert v[0] == 1.0 and v[1] == 0.0  # below 1 - e^eps a > 1/2
