@@ -1,10 +1,11 @@
 """Mechanism accounting: trade-off curves and profiles for parametric
 mechanisms and their k-fold self-compositions.
 
-Composition of non-Gaussian mechanisms goes through a discretized privacy
-loss distribution (PLD). All discretization rounds privacy losses toward
-larger loss, so every emitted delta (and every downstream risk bound) is a
-certified upper bound.
+Gaussian composes in closed form. k-fold randomized response is a pair of
+binomial distributions, whose exact Neyman-Pearson curve the oracle builds.
+Laplace composition goes through a discretized privacy loss distribution
+(PLD). All discretization rounds privacy losses toward larger loss, so every
+emitted delta (and every downstream risk bound) is a certified upper bound.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import math
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr
 
+from .oracle import DiscretePair, exact_tradeoff
 from .tradeoff import (ParameterError, PrivacyProfile, TradeoffCurve,
-                       curve_from_profile, gaussian_curve, laplace_curve,
-                       piecewise_curve)
+                       curve_from_profile, gaussian_curve, laplace_curve)
 
 _FAMILIES = ("gaussian", "laplace", "randomized_response")
 _NEIGHBORHOODS = ("add-remove", "replace-one")
@@ -59,19 +60,17 @@ class MechanismSpec:
 
 @dataclasses.dataclass(frozen=True)
 class PldGrid:
-    """Privacy losses on a uniform grid, plus pessimistic overflow masses.
+    """Privacy losses on a uniform grid, plus a pessimistic overflow mass.
 
     Loss value of cell i is ``offset + i * step``. ``truncation_mass`` is
     probability that fell off the grid or was clipped during convolution; it
-    is treated as loss = +infinity when computing delta, as is
-    ``infinity_mass``.
+    is treated as loss = +infinity when computing delta.
     """
 
     offset: float
     step: float
     masses: np.ndarray
     truncation_mass: float = 0.0
-    infinity_mass: float = 0.0
 
     def __post_init__(self):
         if not self.step > 0:
@@ -79,7 +78,7 @@ class PldGrid:
         m = np.asarray(self.masses, dtype=float)
         if m.ndim != 1 or m.size == 0 or np.any(m < 0):
             raise ParameterError("masses must be a non-negative 1-d vector")
-        total = m.sum() + self.truncation_mass + self.infinity_mass
+        total = m.sum() + self.truncation_mass
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"masses must sum to 1, got {total!r}")
         object.__setattr__(self, "masses", m)
@@ -147,15 +146,6 @@ def pld_of_gaussian(mu: float, grid_step: float = 1e-3,
                    truncation_mass=truncation)
 
 
-def pld_of_randomized_response(p: float) -> PldGrid:
-    """Two-atom loss distribution of randomized response with flip prob p."""
-    if not 0 < p < 0.5:
-        raise ParameterError("flip probability must lie in (0, 0.5)")
-    eps = math.log((1 - p) / p)
-    # represent atoms at +-eps on a uniform grid of step 2*eps
-    return PldGrid(offset=-eps, step=2 * eps, masses=np.array([p, 1 - p]))
-
-
 def pld_compose(pld: PldGrid, k: int) -> PldGrid:
     """k-fold self-composition: convolution of the loss distribution.
 
@@ -189,27 +179,24 @@ def pld_compose(pld: PldGrid, k: int) -> PldGrid:
         if kk:
             base_m, base_off = combine(base_m, base_off, base_m, base_off)
 
-    # mass that should remain finite after k independent draws
-    inf_mass = 1.0 - (1.0 - pld.infinity_mass) ** k
-    finite_target = 1.0 - inf_mass
     total = result_m.sum()
-    if total > finite_target:
+    if total > 1.0:
         # FFT round-off surplus: rescale down (keeps bounds valid, documented)
-        result_m *= finite_target / total
+        result_m *= 1.0 / total
         trunc = 0.0
     else:
         # deficit covers both input truncation carried through composition
         # and clipped negative round-off; treated as loss = +infinity
-        trunc = finite_target - total
+        trunc = 1.0 - total
     return PldGrid(offset=result_off, step=pld.step, masses=result_m,
-                   truncation_mass=trunc, infinity_mass=inf_mass)
+                   truncation_mass=trunc)
 
 
 def profile_from_pld(pld: PldGrid, epsilons) -> PrivacyProfile:
     """Hockey-stick profile delta(eps) = E[(1 - e^(eps - L))+] + overflow mass.
 
-    Truncation and infinity mass count as loss = +infinity, so every delta is
-    a certified upper bound.
+    Truncation mass counts as loss = +infinity, so every delta is a certified
+    upper bound.
     """
     eps = np.asarray(epsilons, dtype=float)
     if eps.size == 0:
@@ -224,57 +211,59 @@ def profile_from_pld(pld: PldGrid, epsilons) -> PrivacyProfile:
     idx = np.searchsorted(losses, eps, side="right")
     with np.errstate(over="ignore", under="ignore"):
         deltas = suffix_m[idx] - np.exp(eps) * suffix_me[idx]
-    deltas = deltas + pld.truncation_mass + pld.infinity_mass
+    deltas = deltas + pld.truncation_mass
     deltas = np.clip(deltas, 0.0, 1.0)
     return PrivacyProfile.from_points(eps, deltas)
 
 
-def randomized_response_curve(p: float) -> TradeoffCurve:
-    """Exact two-outcome trade-off of randomized response with flip prob p.
+def randomized_response_curve(p: float, k: int = 1) -> TradeoffCurve:
+    """Exact trade-off of k-fold randomized response with flip prob p.
 
-    Rejecting the flipped outcome entirely gives the vertex (p, p); the
-    randomized tests on either side trace the pure-DP lines of
-    eps0 = log((1-p)/p), so the exact curve coincides with that envelope.
+    The number of 1s among the k answers is sufficient: it is
+    Binomial(k, 1 - p) when the true bit is 1 and Binomial(k, p) when it is
+    0, so the curve is the Neyman-Pearson curve of that pair. The pmf is
+    built in log space and renormalized, which cancels the round-off of
+    log k! common to every atom. At k = 1 the vertex is (p, p) up to
+    round-off. k-fold RR is also the optimal composition of k eps0-DP
+    mechanisms, eps0 = log((1-p)/p) (Kairouz, Oh & Viswanath, ICML 2015).
     """
     if not 0 < p < 0.5:
         raise ParameterError("flip probability must lie in (0, 0.5)")
-    return piecewise_curve([0.0, p, 1.0], [1.0, p, 0.0],
-                           provenance=f"randomized_response(p={p!r})")
+    if not (isinstance(k, int) and k >= 1):
+        raise ParameterError("k must be an integer >= 1")
+    j = np.arange(k + 1)
+    log_pmf = (gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
+               + j * math.log1p(-p) + (k - j) * math.log(p))
+    pmf = np.exp(log_pmf)
+    pmf /= pmf.sum()
+    curve = exact_tradeoff(DiscretePair(p=pmf, q=pmf[::-1]))
+    return dataclasses.replace(
+        curve, provenance=f"randomized_response(p={p!r}, k={k})")
 
 
 def curve_of(spec: MechanismSpec, grid_step: float = 1e-4,
              profile_points: int = 2000) -> TradeoffCurve:
     """Trade-off curve of a mechanism spec, including composition.
 
-    Gaussian composes in closed form (mu_total = sqrt(k) * Delta / sigma).
-    Laplace and randomized response with k > 1 go through PLD convolution
-    followed by a profile envelope, which is conservative by construction.
+    Gaussian composes in closed form (mu_total = sqrt(k) * Delta / sigma) and
+    randomized response is the exact curve of its binomial pair. Laplace with
+    k > 1 goes through PLD convolution followed by a profile envelope, which
+    is conservative by construction.
     """
     k = spec.compositions
     if spec.family == "gaussian":
         mu = math.sqrt(k) * spec.sensitivity / spec.noise_scale
         return gaussian_curve(mu)
-    if spec.family == "laplace":
-        eps = spec.sensitivity / spec.noise_scale
-        if k == 1:
-            return laplace_curve(eps)
-        pld = pld_compose(pld_of_laplace(eps, grid_step=grid_step), k)
-        # cover the full (rounded-up) loss support so delta reaches 0 at the
-        # top and the envelope is exact near alpha = 0
-        top = float(pld.losses[-1]) + pld.step
-        eps_grid = np.linspace(0.0, top, profile_points)
-        return curve_from_profile(profile_from_pld(pld, eps_grid))
-    # randomized response
-    p = spec.noise_scale
+    if spec.family == "randomized_response":
+        return randomized_response_curve(spec.noise_scale, k)
+    eps = spec.sensitivity / spec.noise_scale
     if k == 1:
-        return randomized_response_curve(p)
-    pld = pld_compose(pld_of_randomized_response(p), k)
-    eps0 = math.log((1 - p) / p)
-    top = k * eps0 + 1e-12
-    eps_grid = np.unique(np.concatenate([
-        np.linspace(0.0, top, profile_points),
-        pld.losses[(pld.losses >= 0) & (pld.losses <= top)],
-    ]))
+        return laplace_curve(eps)
+    pld = pld_compose(pld_of_laplace(eps, grid_step=grid_step), k)
+    # cover the full (rounded-up) loss support so delta reaches 0 at the
+    # top and the envelope is exact near alpha = 0
+    top = float(pld.losses[-1]) + pld.step
+    eps_grid = np.linspace(0.0, top, profile_points)
     return curve_from_profile(profile_from_pld(pld, eps_grid))
 
 

@@ -201,6 +201,10 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
     direction before the target is declared infeasible. A target already met
     at the bracket's low end returns it with a trivial-target flag.
     """
+    if req.family == "randomized_response":
+        raise ParameterError("randomized_response cannot be calibrated: its "
+                             "parameter is a flip probability, not a noise "
+                             "scale")
     lo, hi = float(req.bracket[0]), float(req.bracket[1])
     risk_lo = risk_at(req, lo)
     risk_hi = risk_at(req, hi)

@@ -1,8 +1,10 @@
-"""Brute-force ground truth for finite-output mechanism pairs.
+"""Exact answers for finite-output mechanism pairs.
 
 Computes exact trade-off curves, TV distance, and optimal-attack success by
-direct enumeration / likelihood-ratio ordering. Used by the test suite and
-the ``verify`` CLI command only; never on the production bound path.
+direct enumeration / likelihood-ratio ordering. ``exact_tradeoff`` is also
+the production curve of randomized response at every composition count
+(``accountant.randomized_response_curve``); the ``verify`` CLI command and
+the test suite use the rest.
 """
 
 from __future__ import annotations

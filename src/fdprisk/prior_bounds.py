@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .tradeoff import ParameterError, TradeoffCurve, _bisect
+from .tradeoff import ParameterError, TradeoffCurve, _bisect, _exp, _times
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,17 +31,6 @@ class RdpGuarantee:
             raise ParameterError("RDP epsilon must be >= 0")
 
 
-@dataclasses.dataclass(frozen=True)
-class ZcdpGuarantee:
-    """Zero-concentrated DP: (t, rho*t)-RDP for every order t > 1."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not self.rho >= 0:
-            raise ParameterError(f"rho must be >= 0, got {self.rho}")
-
-
 def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float:
     """Singling-out success under (epsilon, delta)-DP: min(1, n(e^eps w + delta))."""
     if n <= 1:
@@ -52,7 +41,7 @@ def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float
         raise ParameterError("need epsilon >= 0 and delta in [0, 1]")
     if math.isinf(epsilon):
         return 1.0
-    return float(min(1.0, n * (math.exp(epsilon) * w + delta)))
+    return float(min(1.0, n * (_times(_exp(epsilon), w) + delta)))
 
 
 def pso_bound_fdp(n: int, w: float, f: TradeoffCurve) -> float:
@@ -154,8 +143,9 @@ def laplace_rdp_epsilon(t, epsilon: float, k: int = 1):
     t = _check_orders(t)
     if not epsilon >= 0:
         raise ParameterError("epsilon must be >= 0")
-    inner = (t / (2.0 * t - 1.0)) * np.exp((t - 1.0) * epsilon) \
-        + ((t - 1.0) / (2.0 * t - 1.0)) * np.exp(-t * epsilon)
+    with np.errstate(over="ignore"):  # inf: the vacuous bound at this order
+        inner = (t / (2.0 * t - 1.0)) * np.exp((t - 1.0) * epsilon) \
+            + ((t - 1.0) / (2.0 * t - 1.0)) * np.exp(-t * epsilon)
     out = k * np.log(inner) / (t - 1.0)
     return float(out) if out.ndim == 0 else out
 

@@ -1,13 +1,13 @@
 """Mechanism accounting: curves, PLD discretization, and composition."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from fdprisk import accountant as A
-from fdprisk import oracle as O
 from fdprisk import tradeoff as T
 
 GRID = np.linspace(0.0, 1.0, 2001)
@@ -74,12 +74,34 @@ def test_laplace_curve_of_single():
                        atol=1e-15)
 
 
+def _binomial_pair(p, k):
+    """k-fold randomized response as counts of 1s: exact binomial pmfs."""
+    pmf = np.array([math.comb(k, j) * (1 - p) ** j * p ** (k - j)
+                    for j in range(k + 1)])
+    return pmf, pmf[::-1]
+
+
 def test_randomized_response_matches_oracle_exactly():
-    s = A.MechanismSpec(family="randomized_response", noise_scale=0.25)
-    f = A.curve_of(s)
-    pair = O.DiscretePair(p=np.array([0.75, 0.25]), q=np.array([0.25, 0.75]))
-    g = O.exact_tradeoff(pair)
-    assert np.allclose(f(GRID), g(GRID), atol=1e-12)
+    alphas = np.linspace(0.0, 1.0, 6001)
+    for k in (1, 2, 18, 64):
+        for p in (0.05, 0.1, 0.25, 0.4, 0.45):
+            f = A.curve_of(A.MechanismSpec(family="randomized_response",
+                                           noise_scale=p, compositions=k))
+            want = oracles.np_tradeoff_eval(*_binomial_pair(p, k), alphas)
+            assert np.max(np.abs(f(alphas) - want)) <= 1e-14, (k, p)
+
+
+def test_randomized_response_many_compositions():
+    # 4000 answers: most binomial atoms underflow, none may warn
+    from scipy.stats import binom
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = A.randomized_response_curve(0.45, 4000)
+        eta = T.tv_from_curve(f).eta
+    # TV of the pair: P(count > k/2) under each bit, the middle atom tied
+    tv = binom.sf(2000, 4000, 0.55) - binom.sf(2000, 4000, 0.45)
+    assert abs(eta - tv) <= 1e-12
+    assert eta < 1.0
 
 
 def test_composition_monotonicity():
@@ -93,7 +115,7 @@ def test_composition_monotonicity():
 
 def test_pld_of_laplace_normalization():
     pld = A.pld_of_laplace(0.2, grid_step=1e-4)
-    total = pld.masses.sum() + pld.truncation_mass + pld.infinity_mass
+    total = pld.masses.sum() + pld.truncation_mass
     assert total == pytest.approx(1.0, abs=1e-12)
     assert np.all(pld.masses >= 0)
 
@@ -145,8 +167,11 @@ def test_pld_compose_identity():
     # bit-identical with the scipy.signal composition it replaced
     plds = [A.pld_of_laplace(0.2, grid_step=1e-3),
             A.pld_of_laplace(1.0, grid_step=1e-4),
-            A.pld_of_randomized_response(0.1),
-            A.pld_of_randomized_response(0.3)]
+            # randomized response at p = 0.1, 0.3: atoms at -+log((1-p)/p)
+            A.PldGrid(offset=-math.log(9.0), step=2 * math.log(9.0),
+                      masses=np.array([0.1, 0.9])),
+            A.PldGrid(offset=-math.log(7 / 3), step=2 * math.log(7 / 3),
+                      masses=np.array([0.3, 0.7]))]
     for pld in plds:
         for k in (2, 3, 18):
             got = A.pld_compose(pld, k)

@@ -115,6 +115,32 @@ def test_calibrate_default_bracket_no_overflow(capsys, family, method,
     assert abs(math.log(sigma / ref.noise_scale)) <= 1e-4
 
 
+def test_bound_pso_large_epsilon_no_overflow(tmp_path, capsys):
+    # e^800 overflows: the (eps, delta) singling-out bound is vacuous at
+    # w > 0 and n * delta at w = 0
+    scn = tmp_path / "e.cfg"
+    scn.write_text(CENSUS_SCENARIO.replace("10.6", "800")
+                   .replace("1e-10", "1e-6")
+                   .replace("worst = worst_case",
+                            "pso = pso:5000:2e-4\nzero = pso:5000:0")
+                   .replace("methods = fdp", "methods = eps_delta"))
+    code = cli.main(["bound", "--scenario", str(scn)])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in err
+    rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+    assert float(rows[0][2]) == 1.0
+    assert float(rows[1][2]) == pytest.approx(5000 * 1e-6, rel=1e-15)
+
+
+def test_calibrate_randomized_response_rejected(capsys):
+    code = cli.main(["calibrate", "--family", "randomized_response",
+                     "--target-adv", "0.2", "--baseline", "worst_case"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "its parameter is a flip probability, not a noise scale" in err
+
+
 def test_cli_start_skips_slow_scipy_modules():
     # a fresh interpreter: this one has loaded scipy.stats already
     script = (

@@ -24,6 +24,7 @@ GOLDEN = ROOT / "tests" / "golden"
 GAUSS = str(ROOT / "scenarios" / "example_gaussian.cfg")
 CENSUS = str(ROOT / "scenarios" / "census_state.cfg")
 LAPLACE_K3 = str(GOLDEN / "laplace_k3.cfg")
+RR_K18 = str(GOLDEN / "rr_k18.cfg")
 
 
 def _calibrate_gaussian(k, baseline, methods="fdp,zcdp,rdp"):
@@ -55,6 +56,7 @@ COMMANDS = {
     "verify": ["verify"],
     "tradeoff_gaussian_mu1": ["tradeoff", "--gaussian-mu", "1"],
     "tradeoff_laplace_k3": ["tradeoff", "--mechanism", LAPLACE_K3],
+    "tradeoff_rr_k18": ["tradeoff", "--mechanism", RR_K18],
 }
 
 
