@@ -15,7 +15,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gammaln, ndtr
 
 from .oracle import DiscretePair, exact_tradeoff
@@ -151,12 +150,13 @@ def pld_compose(pld: PldGrid, k: int) -> PldGrid:
 
     Binary exponentiation over FFT convolutions. Negative round-off from the
     FFT is clipped and the deficit moved to ``truncation_mass`` (pessimistic);
-    any surplus is rescaled away.
+    any surplus is taken from the lowest-loss cells.
     """
     if not (isinstance(k, int) and k >= 1):
         raise ParameterError("k must be an integer >= 1")
     if k == 1:
         return pld
+    from scipy.fft import irfft, next_fast_len, rfft  # loaded on first use
 
     def combine(a_masses, a_off, b_masses, b_off):
         # full linear convolution, at a fast FFT length
@@ -181,8 +181,10 @@ def pld_compose(pld: PldGrid, k: int) -> PldGrid:
 
     total = result_m.sum()
     if total > 1.0:
-        # FFT round-off surplus: rescale down (keeps bounds valid, documented)
-        result_m *= 1.0 / total
+        # FFT round-off surplus: taken from the lowest losses up, since
+        # removing mass at a loss at or below eps leaves delta(eps) unchanged
+        before = np.cumsum(result_m) - result_m
+        result_m -= np.clip(total - 1.0 - before, 0.0, result_m)
         trunc = 0.0
     else:
         # deficit covers both input truncation carried through composition

@@ -17,7 +17,7 @@ import numpy as np
 from . import accountant, prior_bounds, risk
 from .accountant import MechanismSpec
 from .risk import BaselineSpec
-from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
+from .tradeoff import (ParameterError, TradeoffCurve, _bisect, _concave_max,
                        curve_from_epsilon_delta, delta_for_epsilon)
 
 METHODS = ("fdp", "rdp", "zcdp", "eps_delta")
@@ -108,9 +108,10 @@ def method_bound(spec: MechanismSpec, method: str,
             raise ParameterError(
                 f"RDP accounting not supported for family {spec.family!r}")
         grid = (prior_bounds.default_t_grid() if rdp_order is None
-                else [rdp_order])
+                else np.array([rdp_order]))
+        eps = rdp_epsilon(grid, scale, k)  # once per spec, not per call
         return lambda bases: prior_bounds.srr_bound_rdp_curve(
-            bases, lambda t: rdp_epsilon(t, scale, k), grid)
+            bases, lambda t: eps, grid)
     if method == "eps_delta":
         # the single-pair curve at the smallest eps at the configured delta
         eps = _epsilon_at_delta(accountant.curve_of(spec), eps_delta_delta)
@@ -120,7 +121,7 @@ def method_bound(spec: MechanismSpec, method: str,
 
 def _curve_success(f: TradeoffCurve):
     """Success bound 1 - f(base), clamped to [base, 1], over base arrays."""
-    return lambda bases: np.clip(1.0 - f(bases), bases, 1.0)
+    return lambda bases: (1.0 - f(bases)).clip(bases, 1.0)
 
 
 def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
@@ -132,7 +133,7 @@ def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
     if baseline.kind == "worst_case":
         if isinstance(bound, TradeoffCurve):
             return 0.0, 1.0, risk.adv_bound_worst_case(bound)
-        return 0.0, 1.0, _worst_case_adv(bound)
+        return 0.0, 1.0, max(0.0, _concave_max(lambda b: bound(b) - b))
     base = risk.baseline_value(baseline)
     if not isinstance(bound, TradeoffCurve):
         succ = float(bound(np.array([base]))[0])
@@ -154,26 +155,6 @@ def _epsilon_at_delta(f: TradeoffCurve, delta: float) -> float:
             raise ParameterError("cannot find finite epsilon at this delta")
     return _bisect(lambda e: delta_for_epsilon(f, e) <= delta, 0.0, hi,
                    steps=100)
-
-
-def _worst_case_adv(succ) -> float:
-    """Largest advantage over all scalar baselines of a success bound."""
-    bases = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 512),
-                            np.logspace(-9, -0.05, 128)])
-    vals = succ(bases) - bases
-    i = int(np.argmax(vals))
-    best, b0 = float(vals[i]), float(bases[i])
-    lo = max(1e-9, b0 - 5e-3)
-    hi = min(1.0 - 1e-9, b0 + 5e-3)
-    for _ in range(6):
-        bs = np.linspace(lo, hi, 65)
-        vs = succ(bs) - bs
-        j = int(np.argmax(vs))
-        if vs[j] > best:
-            best, b0 = float(vs[j]), float(bs[j])
-        span = (hi - lo) / 16.0
-        lo, hi = max(1e-9, b0 - span), min(1.0 - 1e-9, b0 + span)
-    return max(0.0, best)
 
 
 def risk_at(req: CalibrationRequest, noise_scale: float) -> float:
@@ -227,14 +208,17 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
         raise ConsistencyError("risk increased with noise scale")
 
     log_lo, log_hi = math.log(lo), math.log(hi)
+    achieved = None  # the risk at exp(log_hi), once a midpoint sets it
     while log_hi - log_lo > req.tolerance:
         mid = 0.5 * (log_lo + log_hi)
-        if risk_at(req, math.exp(mid)) <= req.target_value:
-            log_hi = mid
+        risk_mid = risk_at(req, math.exp(mid))
+        if risk_mid <= req.target_value:
+            log_hi, achieved = mid, risk_mid
         else:
             log_lo = mid
     sigma = math.exp(log_hi)
-    achieved = risk_at(req, sigma)
+    if achieved is None:  # exp(log(hi)) need not round back to hi
+        achieved = risk_at(req, sigma)
     if achieved > req.target_value + 1e-12:
         raise ConsistencyError("bisection landed above the target")
     return CalibrationResult(noise_scale=sigma, status="ok",

@@ -9,6 +9,7 @@ against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -109,8 +110,8 @@ def srr_bound_rdp_curve(base, eps_of_t, t_grid):
         raise ParameterError("base must lie in [0, 1]")
     scalar = b.ndim == 0
     b = np.atleast_1d(b)
-    with np.errstate(divide="ignore"):
-        log_b = np.where(b > 0, np.log(np.maximum(b, 1e-300)), -np.inf)
+    # log 1 stands in at base 0, whose bound is 0: log 0 + inf would be NaN
+    log_b = np.log(np.where(b > 0, b, 1.0))
     frac = (grid - 1.0) / grid
     log_vals = frac[None, :] * (log_b[:, None] + eps[None, :])
     out = np.exp(np.minimum(log_vals.min(axis=1), 0.0))
@@ -118,9 +119,13 @@ def srr_bound_rdp_curve(base, eps_of_t, t_grid):
     return float(out[0]) if scalar else out
 
 
+@functools.cache
 def default_t_grid(n: int = 400, t_max: float = 512.0) -> np.ndarray:
-    """Log-spaced RDP orders in (1, t_max], dense near 1."""
-    return 1.0 + np.logspace(-4, math.log10(t_max - 1.0), n)
+    """Log-spaced RDP orders in (1, t_max], dense near 1 (one read-only
+    array per (n, t_max))."""
+    grid = 1.0 + np.logspace(-4, math.log10(t_max - 1.0), n)
+    grid.flags.writeable = False
+    return grid
 
 
 def _check_orders(t) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -110,7 +110,7 @@ class TradeoffCurve:
             out = np.asarray(self.fn(a), dtype=float)
         else:
             out = np.interp(a, self.knots[:, 0], self.knots[:, 1])
-        out = np.clip(out, 0.0, 1.0)
+        out = out.clip(0.0, 1.0)  # the method: np.clip costs twice as much
         return out if np.ndim(alpha) else float(out)
 
     @property
@@ -316,37 +316,34 @@ def piecewise_curve(alphas, betas, provenance: str = "piecewise") -> TradeoffCur
 # --------------------------------------------------------------------------
 # numeric helpers
 
+_MAX_STEPS = np.linspace(0.0, 1.0, 65)  # one round of _concave_max
+
+
 def _concave_max(g: Callable[[np.ndarray], np.ndarray],
-                 extra_candidates: Iterable[float] = (),
-                 rounds: int = 4, n: int = 4097) -> float:
-    """Maximum of a concave function on [0, 1] via grid seeding + refinement."""
-    from scipy import optimize  # loaded on first use: it is slow to import
-    cand = np.concatenate([
-        np.linspace(0.0, 1.0, n),
-        np.logspace(-16, -0.301, 200),
-        1.0 - np.logspace(-16, -0.301, 200),
-        np.asarray(list(extra_candidates), dtype=float),
-    ])
-    cand = np.clip(cand, 0.0, 1.0)
-    vals = g(cand)
-    best_idx = int(np.argmax(vals))
-    best_x, best = float(cand[best_idx]), float(vals[best_idx])
-    lo = max(0.0, best_x - 1.0 / n)
-    hi = min(1.0, best_x + 1.0 / n)
-    for _ in range(rounds):
-        xs = np.linspace(lo, hi, 257)
+                 lo: float = 0.0, hi: float = 1.0) -> float:
+    """Maximum of a concave g (vectorized) on [lo, hi]: the best value seen.
+
+    The maximum of a concave function lies between the grid neighbours of
+    its grid argmax (Kiefer, Proc. AMS 1953), or of its first and last
+    argmax on ties; ties that are not neighbours mark a flat top, which is
+    the maximum. Each round samples 65 points on the bracket and narrows
+    it to those neighbours, until the bracket no longer shrinks.
+    """
+    last = _MAX_STEPS.size - 1
+    best = -math.inf
+    while True:
+        xs = lo + (hi - lo) * _MAX_STEPS
+        xs[last] = hi
         ys = g(xs)
-        i = int(np.argmax(ys))
-        if ys[i] > best:
-            best, best_x = float(ys[i]), float(xs[i])
-        span = (hi - lo) / 64.0
-        lo, hi = max(0.0, best_x - span), min(1.0, best_x + span)
-    res = optimize.minimize_scalar(lambda x: -float(g(np.array([x]))[0]),
-                                   bounds=(max(0.0, best_x - 1e-6),
-                                           min(1.0, best_x + 1e-6)),
-                                   method="bounded",
-                                   options={"xatol": 1e-14})
-    return max(best, -float(res.fun))
+        i, j = int(ys.argmax()), last - int(ys[::-1].argmax())
+        best = max(best, float(ys[i]))
+        if j - i > 1:
+            return best
+        bracket = (max(lo, float(xs[max(i - 1, 0)])),
+                   min(hi, float(xs[min(j + 1, last)])))
+        if bracket == (lo, hi):
+            return best
+        lo, hi = bracket
 
 
 def _bisect(ok: Callable[[float], bool], lo: float, hi: float,

@@ -176,11 +176,32 @@ def test_pld_compose_identity():
         for k in (2, 3, 18):
             got = A.pld_compose(pld, k)
             masses, offset = _pld_compose_fftconvolve(pld, k)
-            if masses.sum() > 1.0:
-                masses *= 1.0 / masses.sum()
+            assert masses.sum() <= 1.0  # a surplus: the test below
             assert got.offset == offset
             assert np.array_equal(got.masses, masses)
             assert got.truncation_mass == max(0.0, 1.0 - masses.sum())
+
+
+def test_pld_compose_surplus_leaves_delta_certified():
+    # Laplace PLDs whose FFT self-convolution sums to more than 1
+    for eps, step in ((0.15, 1e-4), (0.25, 1e-3), (0.9, 1e-4), (1.0, 1e-3)):
+        pld = A.pld_of_laplace(eps, grid_step=step)
+        raw, offset = _pld_compose_fftconvolve(pld, 2)
+        assert raw.sum() > 1.0
+        got = A.pld_compose(pld, 2)
+        assert got.truncation_mass == 0.0
+        assert abs(got.masses.sum() - 1.0) <= 1e-15
+        # only the lowest-loss cells gave up mass; rescaling lowers them all
+        rescaled = A.PldGrid(offset=offset, step=step,
+                             masses=raw / raw.sum())
+        assert np.all(got.masses <= raw)
+        assert got.losses[got.masses != raw].max() < 0.0
+        assert np.all(rescaled.masses[got.losses >= 0] <= raw[got.losses >= 0])
+        # so delta(eps >= 0) is never below the rescaled PLD's, up to the
+        # rounding of the profile's sums
+        eps_grid = np.linspace(0.0, 2 * eps + step, 401)
+        assert np.all(A.profile_from_pld(got, eps_grid).deltas
+                      >= A.profile_from_pld(rescaled, eps_grid).deltas - 2e-16)
 
 
 def test_pld_gaussian_composition_matches_analytic():

@@ -1,11 +1,14 @@
 """Noise calibration: closed-form anchors, tightness, monotonicity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import oracles
+from fdprisk import accountant as A
 from fdprisk import calibrate as C
 from fdprisk import risk as R
 from fdprisk import tradeoff as T
@@ -127,3 +130,62 @@ def test_compositions_scale_noise():
     res1 = C.calibrate_noise(_req(compositions=1))
     res4 = C.calibrate_noise(_req(compositions=4))
     assert res4.noise_scale == pytest.approx(2 * res1.noise_scale, rel=1e-3)
+
+
+def test_calibration_evaluates_each_noise_scale_once(monkeypatch):
+    seen = []
+    risk_at = C.risk_at
+
+    def counting(req, sigma):
+        seen.append(sigma)
+        return risk_at(req, sigma)
+
+    monkeypatch.setattr(C, "risk_at", counting)
+    for kw in ({}, {"bracket": (0.1, 0.2)},  # the second expands hi
+               {"baseline": R.BaselineSpec.bernoulli(0.5)}):
+        seen.clear()
+        res = C.calibrate_noise(_req(**kw))
+        assert res.status == "ok"
+        assert len(seen) == len(set(seen))
+        assert res.noise_scale in seen
+        assert res.achieved_risk == risk_at(_req(**kw), res.noise_scale)
+
+
+# ------------------------------------------- worst case: exact maxima
+
+WORST = R.BaselineSpec.worst_case()
+
+
+def test_worst_case_eps_delta_closed_form():
+    for eps in (0.0, 0.1, 1.0, 5.0, 10.0):
+        for delta in (0.0, 1e-5, 1e-2):
+            bound = C._curve_success(T.curve_from_epsilon_delta(eps, delta))
+            e = math.exp(eps)
+            want = (e - 1 + 2 * delta) / (e + 1)
+            assert C.bound_at(bound, WORST)[2] == pytest.approx(want,
+                                                                abs=3e-16)
+
+
+def test_worst_case_rdp_single_order_closed_form():
+    # (b e)^(1/2) - b at mu = 1, t = 2 peaks where the bound reaches 1
+    spec = A.MechanismSpec(family="gaussian", noise_scale=1.0)
+    got = C.bound_at(C.method_bound(spec, "rdp", rdp_order=2.0), WORST)[2]
+    assert got == pytest.approx(1 - math.exp(-1), abs=2e-16)
+
+
+def test_worst_case_zcdp_against_oracle():
+    for sigma in (0.3, 0.7, 1.0, 1.973592873866185, 3.0, 10.0):
+        spec = A.MechanismSpec(family="gaussian", noise_scale=sigma)
+        got = C.bound_at(C.method_bound(spec, "zcdp"), WORST)[2]
+        want = oracles.zcdp_worst_case_adv_hp(1.0 / (2 * sigma * sigma))
+        assert got == pytest.approx(float(want), abs=2e-16)
+
+
+def test_worst_case_vacuous_rdp_without_warnings():
+    # eps(t) is inf at high orders: log 0 + inf would be NaN at base 0
+    spec = A.MechanismSpec(family="laplace", noise_scale=0.01, compositions=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = C.method_bound(spec, "rdp")
+        assert bound(np.array([0.0, 0.5]))[0] == 0.0
+        assert C.bound_at(bound, WORST)[2] == 1.0

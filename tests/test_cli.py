@@ -147,18 +147,21 @@ def test_cli_start_skips_slow_scipy_modules():
         "import contextlib, io, sys\n"
         "import fdprisk.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['bound', '--scenario', sys.argv[1]])\n"
-        "print(code, sorted({'scipy.stats', 'scipy.signal', 'scipy.optimize'}"
-        " & set(sys.modules)))\n")
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted({'scipy.stats', 'scipy.signal', 'scipy.optimize',"
+        " 'scipy.fft'} & set(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c", script,
-         os.path.join(root, "scenarios", "example_gaussian.cfg")],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0 []"
+    calibrate = ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
+                 "--methods", "fdp,zcdp,rdp", "--baseline"]
+    for argv in (["bound", "--scenario",
+                  os.path.join(root, "scenarios", "example_gaussian.cfg")],
+                 calibrate + ["bernoulli:0.5"], calibrate + ["worst_case"]):
+        out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0 []", argv
 
 
 def test_tradeoff_missing_source_is_config_error(capsys):

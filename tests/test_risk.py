@@ -119,6 +119,13 @@ def test_bayes_error_gaussian_grid_oracle():
     assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_bayes_error_gaussian_closed_form():
+    # R_f(1/2) = (1 - eta) / 2 = Phi(-mu/2)
+    for mu in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+        got = R.bayes_error(T.gaussian_curve(mu), 0.5)
+        assert got == pytest.approx(oracles.normal_cdf_hp(-mu / 2), abs=2e-16)
+
+
 def test_bernoulli_succ_bound_examples():
     assert R.bernoulli_succ_bound(IDENT, 0.3) == pytest.approx(0.7)
     assert R.bernoulli_succ_bound(ZERO, 0.4) == pytest.approx(1.0)

@@ -185,6 +185,42 @@ def test_tv_generic_path_matches_closed_form():
         2 * norm.cdf(0.5) - 1, abs=1e-9)
 
 
+# ------------------------------------------------------- concave maximizer
+
+_SLOPES = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3)
+
+
+@given(peak=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1e-12),
+                      st.floats(1.0 - 1e-12, 1.0), st.floats(0.0, 1.0)),
+       top=st.floats(-1.0, 1.0), up=_SLOPES, down=_SLOPES,
+       extra=st.lists(st.tuples(st.floats(1e-9, 1.0), st.floats(-1e3, 1e3)),
+                      max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_concave_max_piecewise_linear(peak, top, up, down, extra):
+    # min of lines through (peak, top), rising before it and falling after
+    # it, and of lines above it there: a concave function whose maximum on
+    # [0, 1] is top, at peak
+    def g(x):
+        d = x - peak
+        lines = ([top + s * d for s in up] + [top - s * d for s in down]
+                 + [top + c + s * d for c, s in extra])
+        return np.min(lines, axis=0)
+
+    got = T._concave_max(g)
+    assert got <= top
+    steepest = max(up + down + [abs(s) for _, s in extra])
+    assert top - got <= 4.5e-16 * (1.0 + steepest)
+
+
+def test_concave_max_ties_and_sub_brackets():
+    # two neighbouring grid points tie, with the peak between them
+    assert T._concave_max(lambda x: -np.abs(x - (0.5 + 1 / 128))) == 0.0
+    # a flat top
+    assert T._concave_max(lambda x: np.minimum(0.25, 1.0 - x)) == 0.25
+    assert T._concave_max(lambda x: -(x - 3.0) ** 2, 2.0, 5.0) == 0.0
+    assert T._concave_max(lambda x: x, 2.0, 5.0) == 5.0
+
+
 # ----------------------------------------------------------- group privacy
 
 def test_group_privacy_identity_and_fixed_points():
