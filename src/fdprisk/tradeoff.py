@@ -319,9 +319,8 @@ def piecewise_curve(alphas, betas, provenance: str = "piecewise") -> TradeoffCur
 _MAX_STEPS = np.linspace(0.0, 1.0, 65)  # one round of _concave_max
 
 
-def _concave_max(g: Callable[[np.ndarray], np.ndarray],
-                 lo: float = 0.0, hi: float = 1.0) -> float:
-    """Maximum of a concave g (vectorized) on [lo, hi]: the best value seen.
+def _concave_max(g: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Maximum of a concave g (vectorized) on [0, 1]: the best value seen.
 
     The maximum of a concave function lies between the grid neighbours of
     its grid argmax (Kiefer, Proc. AMS 1953), or of its first and last
@@ -329,6 +328,7 @@ def _concave_max(g: Callable[[np.ndarray], np.ndarray],
     the maximum. Each round samples 65 points on the bracket and narrows
     it to those neighbours, until the bracket no longer shrinks.
     """
+    lo, hi = 0.0, 1.0
     last = _MAX_STEPS.size - 1
     best = -math.inf
     while True:

@@ -212,13 +212,14 @@ def test_concave_max_piecewise_linear(peak, top, up, down, extra):
     assert top - got <= 4.5e-16 * (1.0 + steepest)
 
 
-def test_concave_max_ties_and_sub_brackets():
+def test_concave_max_ties_and_peaks():
     # two neighbouring grid points tie, with the peak between them
     assert T._concave_max(lambda x: -np.abs(x - (0.5 + 1 / 128))) == 0.0
     # a flat top
     assert T._concave_max(lambda x: np.minimum(0.25, 1.0 - x)) == 0.25
-    assert T._concave_max(lambda x: -(x - 3.0) ** 2, 2.0, 5.0) == 0.0
-    assert T._concave_max(lambda x: x, 2.0, 5.0) == 5.0
+    # an interior peak off the grid, and a peak at an end
+    assert T._concave_max(lambda x: -(x - 0.3) ** 2) == 0.0
+    assert T._concave_max(lambda x: x) == 1.0
 
 
 # ----------------------------------------------------------- group privacy
