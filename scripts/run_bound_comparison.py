@@ -25,8 +25,9 @@ def advantage(method, mu, base):
         g = P.RdpGuarantee(t=2.0, epsilon=P.gaussian_rdp_epsilon(2.0, mu))
         return max(0.0, P.srr_bound_rdp(base, g) - base)
     if method == "rdp":
-        succ = P.srr_bound_rdp_curve(
-            base, lambda t: P.gaussian_rdp_epsilon(t, mu), P.default_t_grid())
+        grid = P.default_t_grid()
+        succ = P.srr_bound_rdp_curve(base, P.gaussian_rdp_epsilon(grid, mu),
+                                     grid)
         return max(0.0, float(succ) - base)
     raise ValueError(method)
 

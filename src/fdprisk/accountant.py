@@ -15,7 +15,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln
 
 from .oracle import DiscretePair, exact_tradeoff
 from .tradeoff import (ParameterError, PrivacyProfile, TradeoffCurve,
@@ -125,26 +125,6 @@ def pld_of_laplace(epsilon_per_query: float, grid_step: float = 1e-4) -> PldGrid
     return PldGrid(offset=-eps + grid_step, step=grid_step, masses=masses)
 
 
-def pld_of_gaussian(mu: float, grid_step: float = 1e-3,
-                    tail_stds: float = 12.0) -> PldGrid:
-    """Discretized loss distribution of a mu-separated Gaussian pair.
-
-    L ~ N(mu^2/2, mu^2) under P. Out-of-window mass goes to
-    ``truncation_mass`` (pessimistic).
-    """
-    if not mu > 0:
-        raise ParameterError("mu must be > 0")
-    mean, sd = mu * mu / 2.0, mu
-    lo = mean - tail_stds * sd
-    hi = mean + tail_stds * sd
-    n = int(math.ceil((hi - lo) / grid_step))
-    edges = lo + grid_step * np.arange(n + 1)
-    masses = np.maximum(np.diff(ndtr((edges - mean) / sd)), 0.0)
-    truncation = float(max(0.0, 1.0 - masses.sum()))
-    return PldGrid(offset=float(edges[1]), step=grid_step, masses=masses,
-                   truncation_mass=truncation)
-
-
 def pld_compose(pld: PldGrid, k: int) -> PldGrid:
     """k-fold self-composition: convolution of the loss distribution.
 
@@ -243,14 +223,13 @@ def randomized_response_curve(p: float, k: int = 1) -> TradeoffCurve:
         curve, provenance=f"randomized_response(p={p!r}, k={k})")
 
 
-def curve_of(spec: MechanismSpec, grid_step: float = 1e-4,
-             profile_points: int = 2000) -> TradeoffCurve:
+def curve_of(spec: MechanismSpec, grid_step: float = 1e-4) -> TradeoffCurve:
     """Trade-off curve of a mechanism spec, including composition.
 
     Gaussian composes in closed form (mu_total = sqrt(k) * Delta / sigma) and
     randomized response is the exact curve of its binomial pair. Laplace with
-    k > 1 goes through PLD convolution followed by a profile envelope, which
-    is conservative by construction.
+    k > 1 goes through PLD convolution followed by the envelope of its
+    profile at 2000 epsilons, which is conservative by construction.
     """
     k = spec.compositions
     if spec.family == "gaussian":
@@ -265,7 +244,7 @@ def curve_of(spec: MechanismSpec, grid_step: float = 1e-4,
     # cover the full (rounded-up) loss support so delta reaches 0 at the
     # top and the envelope is exact near alpha = 0
     top = float(pld.losses[-1]) + pld.step
-    eps_grid = np.linspace(0.0, top, profile_points)
+    eps_grid = np.linspace(0.0, top, 2000)
     return curve_from_profile(profile_from_pld(pld, eps_grid))
 
 

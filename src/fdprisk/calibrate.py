@@ -110,8 +110,7 @@ def method_bound(spec: MechanismSpec, method: str,
         grid = (prior_bounds.default_t_grid() if rdp_order is None
                 else np.array([rdp_order]))
         eps = rdp_epsilon(grid, scale, k)  # once per spec, not per call
-        return lambda bases: prior_bounds.srr_bound_rdp_curve(
-            bases, lambda t: eps, grid)
+        return lambda bases: prior_bounds.srr_bound_rdp_curve(bases, eps, grid)
     if method == "eps_delta":
         # the single-pair curve at the smallest eps at the configured delta
         eps = _epsilon_at_delta(accountant.curve_of(spec), eps_delta_delta)
@@ -140,7 +139,7 @@ def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
     elif baseline.kind == "bernoulli":
         succ = risk.bernoulli_succ_bound(bound, baseline.pi)
     else:
-        succ = float(_curve_success(bound)(np.array([base]))[0])
+        succ = risk.succ_bound(bound, base)
     return base, succ, max(0.0, succ - base)
 
 

@@ -55,10 +55,7 @@ def exact_tradeoff(pair: DiscretePair) -> TradeoffCurve:
     alphas = np.clip(alphas, 0.0, 1.0)
     betas = np.clip(betas, 0.0, 1.0)
     alphas[-1], betas[-1] = 1.0, 0.0
-    a, b = lower_convex_hull(alphas, betas)
-    if a.size < 2:  # identical distributions collapse to the diagonal
-        a = np.array([0.0, 1.0])
-        b = np.array([1.0, 0.0])
+    a, b = lower_convex_hull(alphas, betas)  # keeps (0, .) and (1, 0)
     return TradeoffCurve(kind="piecewise", provenance="oracle_np",
                          knots=np.column_stack([a, b]))
 

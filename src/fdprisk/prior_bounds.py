@@ -88,11 +88,11 @@ def srr_bound_zcdp(base, rho: float):
     return float(out) if out.ndim == 0 else out
 
 
-def srr_bound_rdp_curve(base, eps_of_t, t_grid):
+def srr_bound_rdp_curve(base, eps, t_grid):
     """Best reconstruction bound over an RDP curve: min over orders t.
 
-    ``base`` may be a scalar or an array of baselines; ``eps_of_t`` maps an
-    array of orders to their RDP epsilons. The minimization over the order
+    ``base`` may be a scalar or an array of baselines; ``eps`` holds the RDP
+    epsilon of each order in ``t_grid``. The minimization over the order
     grid is vectorized.
     """
     grid = np.asarray(t_grid, dtype=float).ravel()
@@ -100,9 +100,9 @@ def srr_bound_rdp_curve(base, eps_of_t, t_grid):
         raise ParameterError("t grid must be non-empty")
     if np.any(grid <= 1):
         raise ParameterError("all RDP orders must be > 1")
-    eps = np.asarray(eps_of_t(grid), dtype=float)
+    eps = np.asarray(eps, dtype=float)
     if eps.shape != grid.shape:
-        raise ParameterError("eps_of_t must give one epsilon per order")
+        raise ParameterError("eps must hold one epsilon per order")
     if np.any(eps < 0):
         raise ParameterError("RDP epsilons must be >= 0")
     b = np.asarray(base, dtype=float)
@@ -120,10 +120,10 @@ def srr_bound_rdp_curve(base, eps_of_t, t_grid):
 
 
 @functools.cache
-def default_t_grid(n: int = 400, t_max: float = 512.0) -> np.ndarray:
-    """Log-spaced RDP orders in (1, t_max], dense near 1 (one read-only
-    array per (n, t_max))."""
-    grid = 1.0 + np.logspace(-4, math.log10(t_max - 1.0), n)
+def default_t_grid() -> np.ndarray:
+    """400 log-spaced RDP orders in (1, 512], dense near 1 (one read-only
+    array, built once)."""
+    grid = 1.0 + np.logspace(-4, math.log10(511.0), 400)
     grid.flags.writeable = False
     return grid
 

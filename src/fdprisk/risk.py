@@ -2,19 +2,17 @@
 
 Success and advantage bounds for singling-out / reconstruction /
 attribute-inference style attacks with a known baseline, the worst-case
-(baseline-independent) TV bound, the Bernoulli-prior Bayes-error refinement,
-and generalization / memorization / reconstruction corollaries.
+(baseline-independent) TV bound, the Bernoulli-prior Bayes-error
+refinement, and the report row the CLI prints for each bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
-from .tradeoff import (ParameterError, TradeoffCurve, _concave_max,
-                       group_privacy, tv_from_curve)
+from .tradeoff import ParameterError, TradeoffCurve, _concave_max, tv_from_curve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,52 +127,6 @@ def bernoulli_succ_bound(f: TradeoffCurve, pi: float) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class GeneralizationPair:
-    """A known loss and the bound it implies in the other direction."""
-
-    train_loss: float
-    test_loss_bound: float
-    direction: str  # "train_to_test" or "test_to_train"
-    group_order: int = 1
-
-    def __post_init__(self):
-        for v in (self.train_loss, self.test_loss_bound):
-            if not 0.0 <= v <= 1.0:
-                raise ParameterError("losses must lie in [0, 1]")
-
-
-def generalization_bound(f: TradeoffCurve, known_loss: float,
-                         direction: str = "train_to_test") -> GeneralizationPair:
-    """On-average loss transfer: the unknown loss is at most 1 - f(known)."""
-    known_loss = _check_base(known_loss)
-    if direction not in ("train_to_test", "test_to_train"):
-        raise ParameterError(f"unknown direction {direction!r}")
-    bound = float(min(1.0, max(0.0, 1.0 - f(known_loss))))
-    if direction == "train_to_test":
-        return GeneralizationPair(train_loss=known_loss, test_loss_bound=bound,
-                                  direction=direction)
-    return GeneralizationPair(train_loss=bound, test_loss_bound=known_loss,
-                              direction=direction)
-
-
-def nonlinear_generalization_bound(f: TradeoffCurve, n: int,
-                                   known_value: float) -> float:
-    """Bounded-statistic transfer through the order-n group curve.
-
-    Also bounds narcissus-resiliency success: succ <= 1 - f^(n)(base).
-    """
-    if n < 1:
-        raise ParameterError(f"group order must be >= 1, got {n}")
-    known_value = _check_base(known_value)
-    return float(min(1.0, max(0.0, 1.0 - group_privacy(f, n)(known_value))))
-
-
-def memorization_bound(f: TradeoffCurve) -> float:
-    """Per-record memorization (and strong-MIA advantage) is at most eta."""
-    return tv_from_curve(f).eta
-
-
-@dataclasses.dataclass(frozen=True)
 class RiskReport:
     """One bound row: which bound produced which numbers, with inputs echoed."""
 
@@ -207,17 +159,3 @@ class RiskReport:
 
 
 RISK_REPORT_CSV_HEADER = "method,baseline,success_bound,advantage_bound,params"
-
-
-def urr_bounds(f: TradeoffCurve, base: float) -> RiskReport:
-    """Unbiased-reconstruction bounds: succ <= 1 - f(base), adv <= eta too."""
-    base = _check_base(base)
-    succ = succ_bound(f, base)
-    adv = float(max(0.0, min(succ - base, tv_from_curve(f).eta)))
-    return RiskReport(method="urr", baseline_value=base, success_bound=succ,
-                      advantage_bound=adv,
-                      parameters={"base": base, "curve": f.provenance})
-
-
-def reports_to_json(reports) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=2)

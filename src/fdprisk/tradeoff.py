@@ -37,13 +37,13 @@ def _times(e: float, a: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # alpha grids
 
-def default_alpha_grid(n: int = 2001, tiny: float = 1e-12) -> np.ndarray:
-    """Non-uniform grid on [0, 1], log-dense near both endpoints.
+def default_alpha_grid(n: int = 2001) -> np.ndarray:
+    """Non-uniform grid on [0, 1], log-dense near both endpoints from 1e-12.
 
     Risk baselines of practical interest (e.g. rare-attribute priors around
     1e-4) live near alpha = 0, so uniform grids waste resolution.
     """
-    half = np.logspace(np.log10(tiny), np.log10(0.5), n // 2)
+    half = np.logspace(-12.0, np.log10(0.5), n // 2)
     return np.unique(np.concatenate([[0.0], half, 1.0 - half[::-1], [1.0]]))
 
 
@@ -366,29 +366,10 @@ def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
 # derived quantities
 
 def tv_from_curve(f: TradeoffCurve) -> TvParameter:
-    """TV privacy level eta = max_alpha (1 - f(alpha) - alpha).
-
-    Closed forms for the analytic families; knot inspection for piecewise
-    curves (valid by convexity); refined concave maximization otherwise.
-    """
-    if f.kind == "eps_delta":
-        eps, delta = f.params
-        e = _exp(eps)
-        eta = (e - 1.0 + 2.0 * delta) / (e + 1.0) if e < math.inf else 1.0
-    elif f.kind == "gaussian":
-        (mu,) = f.params
-        eta = 2.0 * ndtr(mu / 2.0) - 1.0
-    elif f.kind == "laplace":
-        (eps,) = f.params
-        eta = 1.0 - math.exp(-eps / 2.0)
-    elif f.kind == "zero":
-        eta = 1.0
-    elif f.is_piecewise:
-        a, b = f.knots[:, 0], f.knots[:, 1]
-        eta = float(np.max(1.0 - b - a))
-    else:
-        eta = _concave_max(lambda a: 1.0 - f(a) - a)
-    return TvParameter(float(min(1.0, max(0.0, eta))))
+    """TV privacy level eta = max_alpha (1 - f(alpha) - alpha): the privacy
+    profile at epsilon = 0, so ``delta_for_epsilon(f, 0.0)`` (Dong, Roth &
+    Su, JRSS-B 2022)."""
+    return TvParameter(delta_for_epsilon(f, 0.0))
 
 
 def group_privacy(f: TradeoffCurve, k: int) -> TradeoffCurve:
@@ -488,12 +469,6 @@ def curve_from_csv(inp) -> TradeoffCurve:
     """Read a piecewise-linear curve from ``alpha,f`` CSV."""
     rows = _read_csv_rows(inp, ("alpha", "f"))
     return piecewise_curve(rows[:, 0], rows[:, 1], provenance="csv")
-
-
-def profile_to_csv(profile: PrivacyProfile, out) -> None:
-    out.write("epsilon,delta\n")
-    for e, d in profile.points:
-        out.write(f"{_fmt(e)},{_fmt(d)}\n")
 
 
 def profile_from_csv(inp) -> PrivacyProfile:

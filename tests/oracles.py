@@ -3,13 +3,17 @@
 Everything here recomputes quantities by brute force (dense grids with
 iterative refinement, high-precision special functions, direct summation) so
 the package's closed forms and numeric paths are checked against code that
-shares none of their structure.
+shares none of their structure. ``pld_of_gaussian`` is a test input
+instead: a PLD whose composition the Gaussian closed form checks.
 """
 
 import math
 
 import mpmath
 import numpy as np
+from scipy.special import ndtr
+
+from fdprisk.accountant import PldGrid
 
 mpmath.mp.dps = 50
 
@@ -100,6 +104,24 @@ def laplace_delta_hp(eps0, eps) -> float:
             g1 = g(x1)
     # g(0) = 0: the sup at eps >= eps0
     return float(max(0, g1, g2))
+
+
+def pld_of_gaussian(mu, grid_step) -> PldGrid:
+    """Discretized loss distribution of a mu-separated Gaussian pair, a
+    test input for the PLD path whose composition has a closed form.
+
+    L ~ N(mu^2/2, mu^2) under P; each cell's mass sits at its upper edge,
+    and the mass beyond 12 sd of the mean goes to ``truncation_mass``
+    (pessimistic).
+    """
+    mean, sd = mu * mu / 2.0, mu
+    lo, hi = mean - 12.0 * sd, mean + 12.0 * sd
+    n = int(math.ceil((hi - lo) / grid_step))
+    edges = lo + grid_step * np.arange(n + 1)
+    masses = np.maximum(np.diff(ndtr((edges - mean) / sd)), 0.0)
+    truncation = float(max(0.0, 1.0 - masses.sum()))
+    return PldGrid(offset=float(edges[1]), step=grid_step, masses=masses,
+                   truncation_mass=truncation)
 
 
 def grid_max(g, lo=0.0, hi=1.0, n=20001, rounds=6):

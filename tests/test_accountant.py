@@ -207,7 +207,7 @@ def test_pld_compose_surplus_leaves_delta_certified():
 def test_pld_gaussian_composition_matches_analytic():
     mu = 0.5
     k = 4
-    pld = A.pld_compose(A.pld_of_gaussian(mu, grid_step=1e-3), k)
+    pld = A.pld_compose(oracles.pld_of_gaussian(mu, grid_step=1e-3), k)
     eps_grid = np.linspace(0.0, 5.0, 51)
     prof = A.profile_from_pld(pld, eps_grid)
     analytic = np.array([oracles.gaussian_profile_delta_hp(mu * math.sqrt(k), e)
@@ -219,7 +219,7 @@ def test_pld_gaussian_composition_matches_analytic():
 
 def test_pld_gaussian_profile_self_consistency():
     mu = 1.0
-    pld = A.pld_of_gaussian(mu, grid_step=5e-4)
+    pld = oracles.pld_of_gaussian(mu, grid_step=5e-4)
     # bit-identical with the scipy.stats form it replaced
     from scipy.stats import norm
     for m in (0.3, mu, 4.0):
@@ -227,7 +227,7 @@ def test_pld_gaussian_profile_self_consistency():
         lo, hi = mean - 12.0 * sd, mean + 12.0 * sd
         edges = lo + 5e-4 * np.arange(int(math.ceil((hi - lo) / 5e-4)) + 1)
         cdf = norm.cdf(edges, loc=mean, scale=sd)
-        got = A.pld_of_gaussian(m, grid_step=5e-4)
+        got = oracles.pld_of_gaussian(m, grid_step=5e-4)
         assert np.array_equal(got.masses, np.maximum(np.diff(cdf), 0.0))
     eps_grid = np.linspace(0.0, 5.0, 26)
     prof = A.profile_from_pld(pld, eps_grid)
@@ -255,7 +255,7 @@ def test_composed_curve_conservative_vs_gaussian_oracle():
     # profile -> envelope stays below (never claims more privacy than) the
     # exact composed curve, within grid tolerance
     mu, k = 0.5, 4
-    pld = A.pld_compose(A.pld_of_gaussian(mu, grid_step=1e-3), k)
+    pld = A.pld_compose(oracles.pld_of_gaussian(mu, grid_step=1e-3), k)
     prof = A.profile_from_pld(pld, np.linspace(0.0, 8.0, 400))
     env = T.curve_from_profile(prof)
     exact = T.gaussian_curve(mu * math.sqrt(k))

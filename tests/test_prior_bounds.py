@@ -78,23 +78,32 @@ def test_srr_zcdp_values():
 
 def test_srr_rdp_curve_dominance_and_zcdp_match():
     mu = 1.0
-    eps_of_t = lambda t: P.gaussian_rdp_epsilon(t, mu)
     base = 0.1
-    dense = P.srr_bound_rdp_curve(base, eps_of_t, np.linspace(1.001, 64, 5000))
-    at_t2 = P.srr_bound_rdp(base, P.RdpGuarantee(t=2.0, epsilon=eps_of_t(2.0)))
+    dense_grid = np.linspace(1.001, 64, 5000)
+    dense = P.srr_bound_rdp_curve(
+        base, P.gaussian_rdp_epsilon(dense_grid, mu), dense_grid)
+    at_t2 = P.srr_bound_rdp(
+        base, P.RdpGuarantee(t=2.0, epsilon=P.gaussian_rdp_epsilon(2.0, mu)))
     assert dense <= at_t2 + 1e-12
     # the zCDP corollary is the analytic optimum of the Gaussian RDP family
     assert dense == pytest.approx(P.srr_bound_zcdp(base, mu * mu / 2),
                                   abs=1e-6)
-    assert P.srr_bound_rdp_curve(1.0, eps_of_t, [2.0, 3.0]) == 1.0
+    assert P.srr_bound_rdp_curve(1.0, [1.0, 1.5], [2.0, 3.0]) == 1.0
+    for eps, grid in (([], []), ([1.0], [1.0]), ([1.0], [2.0, 3.0]),
+                      ([-1.0, 1.0], [2.0, 3.0])):
+        with pytest.raises(T.ParameterError):
+            P.srr_bound_rdp_curve(0.1, eps, grid)
     with pytest.raises(T.ParameterError):
-        P.srr_bound_rdp_curve(0.1, eps_of_t, [])
+        P.srr_bound_rdp_curve(1.5, [1.0], [2.0])
 
 
 def test_srr_rdp_curve_grid_refinement_monotone():
-    eps_of_t = lambda t: P.gaussian_rdp_epsilon(t, 0.8)
-    coarse = P.srr_bound_rdp_curve(0.2, eps_of_t, [2.0, 4.0, 8.0])
-    fine = P.srr_bound_rdp_curve(0.2, eps_of_t, np.linspace(1.01, 16, 400))
+    coarse_grid = np.array([2.0, 4.0, 8.0])
+    fine_grid = np.linspace(1.01, 16, 400)
+    coarse = P.srr_bound_rdp_curve(
+        0.2, P.gaussian_rdp_epsilon(coarse_grid, 0.8), coarse_grid)
+    fine = P.srr_bound_rdp_curve(
+        0.2, P.gaussian_rdp_epsilon(fine_grid, 0.8), fine_grid)
     assert fine <= coarse + 1e-15
 
 

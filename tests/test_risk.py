@@ -1,7 +1,5 @@
-"""Attack-risk bounds: baselines, success/advantage, Bayes, corollaries."""
+"""Attack-risk bounds: baselines, success/advantage, Bayes, reports."""
 
-import io
-import json
 import math
 
 import numpy as np
@@ -140,61 +138,6 @@ def test_bernoulli_dominates_plain_bound(pi):
             R.succ_bound(f, max(pi, 1 - pi)) + 1e-12
 
 
-# ------------------------------------------------------------- corollaries
-
-def test_generalization_bounds():
-    rep = R.generalization_bound(IDENT, 0.1, "train_to_test")
-    assert rep.test_loss_bound == pytest.approx(0.1)
-    rep = R.generalization_bound(ZERO, 0.1, "train_to_test")
-    assert rep.test_loss_bound == pytest.approx(1.0)
-    f = T.gaussian_curve(0.5)
-    rep = R.generalization_bound(f, 0.2, "train_to_test")
-    want = 1 - oracles.gaussian_tradeoff_hp(0.5, 0.2)
-    assert rep.test_loss_bound == pytest.approx(want, abs=1e-12)
-    with pytest.raises(T.ParameterError):
-        R.generalization_bound(f, 0.2, "sideways")
-
-
-def test_nonlinear_generalization():
-    assert R.nonlinear_generalization_bound(IDENT, 10, 0.3) == pytest.approx(0.3)
-    f = T.gaussian_curve(0.5)
-    assert R.nonlinear_generalization_bound(f, 1, 0.3) == pytest.approx(
-        R.succ_bound(f, 0.3), abs=1e-12)
-    g = T.curve_from_epsilon_delta(0.1, 0.0)
-    # iterate 1 - f five times by hand
-    x = 0.2
-    for _ in range(5):
-        x = 1.0 - g(x)
-    assert R.nonlinear_generalization_bound(g, 5, 0.2) == pytest.approx(
-        x, abs=1e-12)
-    with pytest.raises(T.ParameterError):
-        R.nonlinear_generalization_bound(f, 0, 0.2)
-
-
-def test_memorization_bound():
-    assert R.memorization_bound(IDENT) == 0.0
-    assert R.memorization_bound(ZERO) == 1.0
-    f = T.curve_from_epsilon_delta(1.0, 0.0)
-    want = (math.e - 1) / (math.e + 1)
-    assert R.memorization_bound(f) == pytest.approx(want, abs=1e-9)
-    ref, _ = oracles.grid_max(lambda a: 1 - f(a) - a)
-    assert R.memorization_bound(f) == pytest.approx(ref, abs=1e-9)
-
-
-def test_urr_bounds():
-    rep = R.urr_bounds(IDENT, 0.4)
-    assert rep.success_bound == pytest.approx(0.4)
-    assert rep.advantage_bound == pytest.approx(0.0)
-    rep = R.urr_bounds(ZERO, 0.4)
-    assert rep.success_bound == pytest.approx(1.0)
-    assert rep.advantage_bound == pytest.approx(0.6)
-    f = T.gaussian_curve(1.0)
-    rep = R.urr_bounds(f, 0.25)
-    eta = 2 * oracles.normal_cdf_hp(0.5) - 1
-    want = min(1 - oracles.gaussian_tradeoff_hp(1.0, 0.25) - 0.25, eta)
-    assert rep.advantage_bound == pytest.approx(want, abs=1e-12)
-
-
 # ----------------------------------------------------------------- reports
 
 def test_risk_report_invariants_and_serialization():
@@ -205,7 +148,6 @@ def test_risk_report_invariants_and_serialization():
     d = rep.to_json_dict()
     assert list(d) == ["method", "baseline", "success_bound",
                        "advantage_bound", "params"]
-    json.loads(R.reports_to_json([rep]))
     with pytest.raises(T.ParameterError):
         R.RiskReport(method="bad", baseline_value=0.5, success_bound=0.4,
                      advantage_bound=0.5)

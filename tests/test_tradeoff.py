@@ -4,6 +4,7 @@ import io
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,31 @@ def test_tv_generic_path_matches_closed_form():
         2 * norm.cdf(0.5) - 1, abs=1e-9)
 
 
+_ETA_CURVES = [
+    T.gaussian_curve(0.0), T.gaussian_curve(0.5), T.gaussian_curve(1.0),
+    T.gaussian_curve(8.0), T.laplace_curve(1e-6), T.laplace_curve(1.0),
+    T.curve_from_epsilon_delta(0.0, 0.0), T.curve_from_epsilon_delta(0.0, 0.3),
+    T.curve_from_epsilon_delta(1.0, 1e-5), T.curve_from_epsilon_delta(800.0, 0.1),
+    T.curve_from_epsilon_delta(math.inf, 0.0),
+    T.piecewise_curve([0.0, 0.2, 1.0], [1.0, 0.3, 0.0]),
+    T.group_privacy(T.gaussian_curve(0.5), 3),
+]
+
+
+@pytest.mark.parametrize("f", _ETA_CURVES, ids=lambda f: f.provenance)
+def test_tv_is_delta_at_zero(f):
+    # eta = max (1 - f(a) - a) is the privacy profile at eps = 0
+    assert T.tv_from_curve(f).eta == T.delta_for_epsilon(f, 0.0)
+
+
+def test_tv_laplace_small_epsilon_high_precision():
+    # 1 - e^(-eps/2) through expm1: no cancellation as eps -> 0
+    for eps in (1e-8, 1e-6, 1e-3):
+        want = -mpmath.expm1(-mpmath.mpf(eps) / 2)
+        got = T.tv_from_curve(T.laplace_curve(eps)).eta
+        assert abs(got - want) <= 1e-14 * want
+
+
 # ------------------------------------------------------- concave maximizer
 
 _SLOPES = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3)
@@ -232,6 +258,12 @@ def test_group_privacy_identity_and_fixed_points():
     assert np.allclose(g7(a), 1.0 - a, atol=1e-12)
     zero = T.curve_from_epsilon_delta(math.inf, 0.0)
     assert T.group_privacy(zero, 3)(0.4) == pytest.approx(0.0, abs=1e-12)
+    # f^(5) = 1 - (1 - f) iterated five times, by hand
+    g = T.curve_from_epsilon_delta(0.1, 0.0)
+    x = 0.2
+    for _ in range(5):
+        x = 1.0 - g(x)
+    assert T.group_privacy(g, 5)(0.2) == pytest.approx(1.0 - x, abs=1e-12)
 
 
 def test_group_privacy_sandwich():
@@ -360,11 +392,12 @@ def test_curve_csv_roundtrip_and_determinism():
 
 
 def test_profile_csv_roundtrip():
-    prof = T.PrivacyProfile.from_points([0.0, 1.0, 2.0], [0.5, 0.1, 0.01])
-    buf = io.StringIO()
-    T.profile_to_csv(prof, buf)
-    back = T.profile_from_csv(buf.getvalue())
-    assert np.allclose(back.points, prof.points)
+    text = "epsilon,delta\n0,0.5\n1,0.10000000000000001\n2,0.01\n"
+    back = T.profile_from_csv(text)
+    assert np.array_equal(back.points, [[0.0, 0.5], [1.0, 0.1], [2.0, 0.01]])
+    # no header, unsorted, delta rising: sorted and raised to a profile
+    back = T.profile_from_csv(io.StringIO("2,0.02\n0,0.5\n1,0.01\n"))
+    assert np.array_equal(back.points, [[0.0, 0.5], [1.0, 0.02], [2.0, 0.02]])
 
 
 def test_malformed_csv_rejected():
