@@ -6,13 +6,15 @@
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout at the
 same seed (pair i uses seed i + 1), the parent first in even pairs and the
 change first in odd ones, so a drift in the host's speed favours neither
-side. Then one ``--trace 1`` run per workload and side gives the per-layer
-metrics. Every run lasts the ``run_seconds`` of the parent's BENCHMARK.json.
-Raw result lines are appended to ``<out>.jsonl`` as they arrive; the BENCH
-file holds, per workload, side and metric, the median and quartiles, the
-change's wins over the parent pair by pair, whether each side's runs were
-all correct and how many ops each side failed, and each side's git SHA and
-versions.
+side. Each of the first three pairs then runs ``--trace 1`` at seed 1 once
+per side, in the same order; the per-layer metrics are the medians of a
+side's traced runs, and the script fails if a ``.calls`` count differs
+between a side's traced runs at one seed (they run a fixed op list). Every
+run lasts the ``run_seconds`` of the parent's BENCHMARK.json. Raw result
+lines are appended to ``<out>.jsonl`` as they arrive; the BENCH file holds,
+per workload, side and metric, the median and quartiles, the change's wins
+over the parent pair by pair, whether each side's runs were all correct and
+how many ops each side failed, and each side's git SHA and versions.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import json
 import statistics
 import subprocess
 import sys
+
+TRACED_PAIRS = 3  # pairs that also run the traced op list
+TRACE_SEED = 1
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float,
@@ -38,6 +43,20 @@ def quartiles(xs: list[float]) -> dict:
     q1, med, q3 = (statistics.quantiles(xs, n=4, method="inclusive")
                    if len(xs) > 1 else xs * 3)
     return {"median": med, "q1": q1, "q3": q3, "values": xs}
+
+
+def traced_medians(rows: list[dict]) -> dict:
+    """Per-layer medians over one side's traced runs of one workload; exits
+    if a ``.calls`` count differs between two of them at one seed."""
+    for seed in {r["seed"] for r in rows}:
+        at_seed = [r["metrics"] for r in rows if r["seed"] == seed]
+        for name in at_seed[0]:
+            counts = {m[name]["value"] for m in at_seed}
+            if name.endswith(".calls") and len(counts) > 1:
+                sys.exit(f"{rows[0]['workload']} {rows[0]['side']} seed "
+                         f"{seed}: {name} differs between runs: {counts}")
+    return {name: statistics.median(r["metrics"][name]["value"] for r in rows)
+            for name in rows[0]["metrics"]} if rows else {}
 
 
 def summarize(rows: list[dict], better: dict) -> dict:
@@ -62,9 +81,8 @@ def summarize(rows: list[dict], better: dict) -> dict:
                             for s, rs in sided.items()}
         entry["failed"] = {s: sum(r["failed"] for r in rs)
                            for s, rs in sided.items()}
-        entry["traced"] = {r["side"]: {k: v["value"]
-                                       for k, v in r["metrics"].items()}
-                           for r in mine if r["trace"]}
+        entry["traced"] = {s: traced_medians([r for r in rs if r["trace"]])
+                           for s, rs in sided.items()}
         out[wl] = entry
     return out
 
@@ -102,8 +120,9 @@ def main(argv=None) -> int:
                     else ("change", "parent")
                 for side in order:
                     record(side, wl, i + 1, 0)
-            for side in ("parent", "change"):
-                record(side, wl, 1, 1)
+                if i < TRACED_PAIRS:
+                    for side in order:
+                        record(side, wl, TRACE_SEED, 1)
     bench = {"harness": "perfbench/run.py", "seconds": spec["run_seconds"],
              "env": {s: {k: v for k, v in e.items() if k != "seed"}
                      for s, e in env.items()},

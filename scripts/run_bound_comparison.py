@@ -22,8 +22,9 @@ def advantage(method, mu, base):
     if method == "zcdp":
         return max(0.0, P.srr_bound_zcdp(base, mu * mu / 2) - base)
     if method == "rdp-t2":
-        g = P.RdpGuarantee(t=2.0, epsilon=P.gaussian_rdp_epsilon(2.0, mu))
-        return max(0.0, P.srr_bound_rdp(base, g) - base)
+        succ = P.srr_bound_rdp_curve(base, [P.gaussian_rdp_epsilon(2.0, mu)],
+                                     [2.0])
+        return max(0.0, succ - base)
     if method == "rdp":
         grid = P.default_t_grid()
         succ = P.srr_bound_rdp_curve(base, P.gaussian_rdp_epsilon(grid, mu),

@@ -10,7 +10,9 @@ log scale suffices.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -79,16 +81,27 @@ class CalibrationResult:
 # --------------------------------------------------------------------------
 # risk evaluation per method
 
+@dataclasses.dataclass(frozen=True)
+class PriorBound:
+    """A prior method's success bound over base arrays (also the call) and
+    its largest advantage over all baselines, computed only when asked."""
+
+    success: Callable[[np.ndarray], np.ndarray]
+    worst_case: Callable[[], float]
+
+    def __call__(self, bases):
+        return self.success(bases)
+
+
 def method_bound(spec: MechanismSpec, method: str,
                  rdp_order: float | None = None,
                  eps_delta_delta: float = 1e-5):
     """The method's risk bound for one mechanism spec.
 
     For ``fdp`` this is the mechanism's trade-off curve. For ``zcdp``,
-    ``rdp`` and ``eps_delta`` it is a function from an array of scalar
-    baselines to the success bounds at them; ``eps_delta`` reads off the
-    smallest eps at ``eps_delta_delta`` once, here. ``rdp_order`` pins one
-    RDP order; None takes the best of ``prior_bounds.default_t_grid()``.
+    ``rdp`` and ``eps_delta`` it is a ``PriorBound``; ``eps_delta`` reads off
+    the smallest eps at ``eps_delta_delta`` once, here. ``rdp_order`` pins
+    one RDP order; None takes the best of ``prior_bounds.default_t_grid()``.
     """
     if method == "fdp":
         return accountant.curve_of(spec)
@@ -97,7 +110,10 @@ def method_bound(spec: MechanismSpec, method: str,
         if spec.family != "gaussian":
             raise ParameterError("zCDP accounting requires the Gaussian family")
         rho = (spec.sensitivity / spec.noise_scale) ** 2 * k / 2.0
-        return lambda bases: prior_bounds.srr_bound_zcdp(bases, rho)
+        success = functools.partial(prior_bounds.srr_bound_zcdp, rho=rho)
+        # its orders are a continuum, with no hull: a numeric maximum
+        return PriorBound(success, lambda: max(
+            0.0, _concave_max(lambda b: success(b) - b)))
     if method == "rdp":
         if rdp_order is not None and not rdp_order > 1:
             raise ParameterError("rdp_order must be > 1")
@@ -110,17 +126,22 @@ def method_bound(spec: MechanismSpec, method: str,
         grid = (prior_bounds.default_t_grid() if rdp_order is None
                 else np.array([rdp_order]))
         eps = rdp_epsilon(grid, scale, k)  # once per spec, not per call
-        return lambda bases: prior_bounds.srr_bound_rdp_curve(bases, eps, grid)
+        return PriorBound(
+            lambda bases: prior_bounds.srr_bound_rdp_curve(bases, eps, grid),
+            lambda: prior_bounds.srr_worst_case_rdp(eps, grid))
     if method == "eps_delta":
         # the single-pair curve at the smallest eps at the configured delta
         eps = _epsilon_at_delta(accountant.curve_of(spec), eps_delta_delta)
-        return _curve_success(curve_from_epsilon_delta(eps, eps_delta_delta))
+        return _eps_delta_bound(eps, eps_delta_delta)
     raise ParameterError(f"unknown method {method!r}")
 
 
-def _curve_success(f: TradeoffCurve):
-    """Success bound 1 - f(base), clamped to [base, 1], over base arrays."""
-    return lambda bases: (1.0 - f(bases)).clip(bases, 1.0)
+def _eps_delta_bound(epsilon: float, delta: float) -> PriorBound:
+    """Success 1 - f(base), clamped to [base, 1], of the (epsilon, delta)
+    curve f; its worst case is the curve's eta, a closed form."""
+    f = curve_from_epsilon_delta(epsilon, delta)
+    return PriorBound(lambda bases: (1.0 - f(bases)).clip(bases, 1.0),
+                      lambda: risk.adv_bound_worst_case(f))
 
 
 def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
@@ -132,7 +153,7 @@ def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
     if baseline.kind == "worst_case":
         if isinstance(bound, TradeoffCurve):
             return 0.0, 1.0, risk.adv_bound_worst_case(bound)
-        return 0.0, 1.0, max(0.0, _concave_max(lambda b: bound(b) - b))
+        return 0.0, 1.0, bound.worst_case()
     base = risk.baseline_value(baseline)
     if not isinstance(bound, TradeoffCurve):
         succ = float(bound(np.array([base]))[0])

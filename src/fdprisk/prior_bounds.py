@@ -8,28 +8,14 @@ against.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import warnings
 
 import numpy as np
 
-from .tradeoff import ParameterError, TradeoffCurve, _bisect, _exp, _times
-
-
-@dataclasses.dataclass(frozen=True)
-class RdpGuarantee:
-    """A single Renyi-DP point: divergence bound epsilon at order t > 1."""
-
-    t: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.t > 1:
-            raise ParameterError(f"RDP order must be > 1, got {self.t}")
-        if not self.epsilon >= 0:
-            raise ParameterError("RDP epsilon must be >= 0")
+from .tradeoff import (ParameterError, TradeoffCurve, _bisect, _exp, _times,
+                       lower_convex_hull)
 
 
 def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float:
@@ -52,17 +38,6 @@ def pso_bound_fdp(n: int, w: float, f: TradeoffCurve) -> float:
     if not 0.0 <= w <= 1.0 / n:
         raise ParameterError(f"w must lie in [0, 1/n], got {w}")
     return float(min(1.0, n * (1.0 - f(w))))
-
-
-def srr_bound_rdp(base: float, guarantee: RdpGuarantee) -> float:
-    """Reconstruction success under one RDP point: (base e^eps)^((t-1)/t)."""
-    if not 0.0 <= base <= 1.0:
-        raise ParameterError(f"base must lie in [0, 1], got {base}")
-    if base == 0.0:
-        return 0.0
-    t, eps = guarantee.t, guarantee.epsilon
-    log_val = (t - 1.0) / t * (math.log(base) + eps)
-    return 1.0 if log_val >= 0 else float(math.exp(log_val))
 
 
 def srr_bound_zcdp(base, rho: float):
@@ -88,13 +63,7 @@ def srr_bound_zcdp(base, rho: float):
     return float(out) if out.ndim == 0 else out
 
 
-def srr_bound_rdp_curve(base, eps, t_grid):
-    """Best reconstruction bound over an RDP curve: min over orders t.
-
-    ``base`` may be a scalar or an array of baselines; ``eps`` holds the RDP
-    epsilon of each order in ``t_grid``. The minimization over the order
-    grid is vectorized.
-    """
+def _check_rdp_curve(eps, t_grid) -> tuple[np.ndarray, np.ndarray]:
     grid = np.asarray(t_grid, dtype=float).ravel()
     if grid.size == 0:
         raise ParameterError("t grid must be non-empty")
@@ -105,6 +74,17 @@ def srr_bound_rdp_curve(base, eps, t_grid):
         raise ParameterError("eps must hold one epsilon per order")
     if np.any(eps < 0):
         raise ParameterError("RDP epsilons must be >= 0")
+    return grid, eps
+
+
+def srr_bound_rdp_curve(base, eps, t_grid):
+    """Best reconstruction bound over an RDP curve: min over orders t.
+
+    ``base`` may be a scalar or an array of baselines; ``eps`` holds the RDP
+    epsilon of each order in ``t_grid``. The minimization over the order
+    grid is vectorized.
+    """
+    grid, eps = _check_rdp_curve(eps, t_grid)
     b = np.asarray(base, dtype=float)
     if np.any((b < 0) | (b > 1)):
         raise ParameterError("base must lie in [0, 1]")
@@ -117,6 +97,28 @@ def srr_bound_rdp_curve(base, eps, t_grid):
     out = np.exp(np.minimum(log_vals.min(axis=1), 0.0))
     out = np.where(b == 0.0, 0.0, out)
     return float(out[0]) if scalar else out
+
+
+def srr_worst_case_rdp(eps, t_grid) -> float:
+    """max over bases b of ``srr_bound_rdp_curve(b, eps, t_grid) - b``, >= 0.
+
+    In u = log b the bound is exp(min(0, min_t s_t (u + eps_t))), s_t =
+    (t - 1)/t: its pieces are the lower convex hull of (0, 0) and the points
+    (s_t, s_t eps_t) of finite eps. On the piece of line (s, c), b^s e^c - b
+    is concave with its peak at u = (c + log s)/(1 - s), clamped to the piece.
+    """
+    grid, eps = _check_rdp_curve(eps, t_grid)
+    fin = np.isfinite(eps)
+    s = (grid[fin] - 1.0) / grid[fin]
+    xs, cs = lower_convex_hull(np.append(0.0, s), np.append(0.0, s * eps[fin]))
+    if xs.size == 1:  # every order vacuous: the bound is 1 at each b > 0
+        return 1.0
+    cross = -np.diff(cs) / np.diff(xs)  # u where neighbouring lines meet
+    s, c = xs[1:], cs[1:]
+    u = np.clip((c + np.log(s)) / (1.0 - s),
+                np.append(cross[1:], -np.inf), np.minimum(cross, 0.0))
+    adv = np.exp(np.minimum(s * u + c, 0.0)) - np.exp(u)
+    return max(0.0, float(adv.max()))
 
 
 @functools.cache

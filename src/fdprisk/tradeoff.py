@@ -55,6 +55,13 @@ def lower_convex_hull(alphas: np.ndarray, betas: np.ndarray):
     """
     order = np.argsort(alphas, kind="stable")
     alphas, betas = alphas[order], betas[order]
+    # the loop's own test on every consecutive triple: if none fails and no
+    # x repeats, the loop pops nothing, so the sorted input is the hull
+    x1, x2, x = alphas[:-2], alphas[1:-1], alphas[2:]
+    y1, y2, y = betas[:-2], betas[1:-1], betas[2:]
+    if alphas.size and np.all(alphas[1:] > alphas[:-1]) and not np.any(
+            (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1)):
+        return alphas, betas
     hull: list[tuple[float, float]] = []
     for x, y in zip(alphas, betas):
         if hull and hull[-1][0] == x:

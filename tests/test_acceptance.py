@@ -6,12 +6,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 import scipy.optimize as so
 from scipy.stats import norm
 
 import oracles
-from fdprisk import accountant as A
 from fdprisk import calibrate as C
 from fdprisk import cli
 from fdprisk import prior_bounds as P
@@ -37,8 +35,8 @@ def test_criterion_1_bound_dominance():
             cap = 1.0 - base  # saturated bounds cannot be strictly ordered
             a_fdp = R.adv_bound(T.gaussian_curve(mu), base)
             a_zcdp = max(0.0, P.srr_bound_zcdp(base, mu * mu / 2) - base)
-            g2 = P.RdpGuarantee(t=2.0, epsilon=P.gaussian_rdp_epsilon(2.0, mu))
-            a_rdp = max(0.0, P.srr_bound_rdp(base, g2) - base)
+            eps2 = P.gaussian_rdp_epsilon(2.0, mu)
+            a_rdp = max(0.0, P.srr_bound_rdp_curve(base, [eps2], [2.0]) - base)
             if not (a_fdp <= a_zcdp + 1e-12 and a_zcdp <= a_rdp + 1e-12):
                 ok = False
                 worst = f"sigma={sigma:.1f} base={base}"

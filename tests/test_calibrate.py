@@ -159,7 +159,7 @@ WORST = R.BaselineSpec.worst_case()
 def test_worst_case_eps_delta_closed_form():
     for eps in (0.0, 0.1, 1.0, 5.0, 10.0):
         for delta in (0.0, 1e-5, 1e-2):
-            bound = C._curve_success(T.curve_from_epsilon_delta(eps, delta))
+            bound = C._eps_delta_bound(eps, delta)
             e = math.exp(eps)
             want = (e - 1 + 2 * delta) / (e + 1)
             assert C.bound_at(bound, WORST)[2] == pytest.approx(want,

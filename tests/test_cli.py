@@ -7,7 +7,6 @@ import subprocess
 import sys
 import warnings
 
-import numpy as np
 import pytest
 
 from fdprisk import calibrate, cli

@@ -42,16 +42,17 @@ def test_pso_fdp_never_worse_than_eps_delta():
 # --------------------------------------------------------------------- SRR
 
 def test_srr_rdp_values():
-    assert P.srr_bound_rdp(1.0, P.RdpGuarantee(t=2.0, epsilon=0.0)) == 1.0
-    assert P.srr_bound_rdp(0.0, P.RdpGuarantee(t=2.0, epsilon=1.0)) == 0.0
+    # one order: (base e^eps)^((t - 1)/t), capped at 1
+    assert P.srr_bound_rdp_curve(1.0, [0.0], [2.0]) == 1.0
+    assert P.srr_bound_rdp_curve(0.0, [1.0], [2.0]) == 0.0
     mu = 0.75
     eps = P.gaussian_rdp_epsilon(2.0, mu)
     assert eps == pytest.approx(0.5625)
-    got = P.srr_bound_rdp(0.25, P.RdpGuarantee(t=2.0, epsilon=eps))
+    got = P.srr_bound_rdp_curve(0.25, [eps], [2.0])
     assert got == pytest.approx(math.sqrt(0.25 * math.exp(0.5625)), abs=1e-12)
     assert got == pytest.approx(0.662, abs=1e-3)
     with pytest.raises(T.ParameterError):
-        P.RdpGuarantee(t=1.0, epsilon=0.5)
+        P.srr_bound_rdp_curve(0.25, [0.5], [1.0])
 
 
 def test_srr_zcdp_values():
@@ -82,8 +83,8 @@ def test_srr_rdp_curve_dominance_and_zcdp_match():
     dense_grid = np.linspace(1.001, 64, 5000)
     dense = P.srr_bound_rdp_curve(
         base, P.gaussian_rdp_epsilon(dense_grid, mu), dense_grid)
-    at_t2 = P.srr_bound_rdp(
-        base, P.RdpGuarantee(t=2.0, epsilon=P.gaussian_rdp_epsilon(2.0, mu)))
+    at_t2 = P.srr_bound_rdp_curve(base, [P.gaussian_rdp_epsilon(2.0, mu)],
+                                  [2.0])
     assert dense <= at_t2 + 1e-12
     # the zCDP corollary is the analytic optimum of the Gaussian RDP family
     assert dense == pytest.approx(P.srr_bound_zcdp(base, mu * mu / 2),
@@ -105,6 +106,51 @@ def test_srr_rdp_curve_grid_refinement_monotone():
     fine = P.srr_bound_rdp_curve(
         0.2, P.gaussian_rdp_epsilon(fine_grid, 0.8), fine_grid)
     assert fine <= coarse + 1e-15
+
+
+def _rdp_worst_oracle(eps, grid) -> float:
+    """max over b of srr_bound_rdp_curve(b) - b by grid search, >= 0."""
+    best, _ = oracles.grid_max(
+        lambda b: P.srr_bound_rdp_curve(b, eps, grid) - b, n=2001, rounds=8)
+    return max(0.0, best)
+
+
+def test_srr_worst_case_rdp_against_grid_oracle():
+    grid = P.default_t_grid()
+    for rdp_epsilon in (P.gaussian_rdp_epsilon, P.laplace_rdp_epsilon):
+        for k in (1, 3, 10):
+            for sigma in np.logspace(-1, 2, 7):
+                eps = rdp_epsilon(grid, 1.0 / sigma, k)
+                got = P.srr_worst_case_rdp(eps, grid)
+                want = _rdp_worst_oracle(eps, grid)
+                assert want - 2.2e-16 <= got <= want + 1e-12
+
+
+def test_srr_worst_case_rdp_edge_cases():
+    grid = P.default_t_grid()
+    # every eps 0: the dual points are collinear, the hull keeps only the
+    # largest order, and b^s - b peaks at b = s^(1/(1 - s))
+    s = (grid[-1] - 1.0) / grid[-1]
+    got = P.srr_worst_case_rdp(np.zeros_like(grid), grid)
+    assert got == pytest.approx(s ** (s / (1 - s)) - s ** (1 / (1 - s)),
+                                rel=1e-12)
+    assert got >= _rdp_worst_oracle(np.zeros_like(grid), grid) - 2.2e-16
+    # one order: an interior peak, or the peak where the bound reaches 1
+    for t, e in ((2.0, 0.05), (1.5, 3.0), (64.0, 0.01), (1.0001, 40.0)):
+        got = P.srr_worst_case_rdp([e], [t])
+        want = _rdp_worst_oracle(np.array([e]), np.array([t]))
+        assert want - 2.2e-16 <= got <= want + 1e-12
+    # eps inf at high orders: those orders drop out, with no warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eps = P.laplace_rdp_epsilon(grid, 5.0, 3)
+        assert np.isinf(eps).any() and np.isfinite(eps).any()
+        got = P.srr_worst_case_rdp(eps, grid)
+        assert got >= _rdp_worst_oracle(eps, grid) - 2.2e-16
+        assert P.srr_worst_case_rdp([math.inf], [2.0]) == 1.0
+    for eps, grid in (([], []), ([1.0], [1.0]), ([-1.0, 1.0], [2.0, 3.0])):
+        with pytest.raises(T.ParameterError):
+            P.srr_worst_case_rdp(eps, grid)
 
 
 # ------------------------------------------------------------- Renyi values

@@ -417,6 +417,61 @@ def test_lower_convex_hull_repairs_violations():
     assert np.all(np.diff(slopes) >= -1e-12)
 
 
+def _hull_loop(alphas, betas):
+    """lower_convex_hull's loop alone, with no early return."""
+    order = np.argsort(alphas, kind="stable")
+    hull = []
+    for x, y in zip(alphas[order], betas[order]):
+        if hull and hull[-1][0] == x:
+            if y < hull[-1][1]:
+                hull.pop()
+            else:
+                continue
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    pts = np.array(hull)
+    return pts[:, 0], pts[:, 1]
+
+
+@st.composite
+def _hull_inputs(draw):
+    """Shuffled points: convex up to rounding, perturbed, or with some x
+    repeated at another y."""
+    n = draw(st.integers(1, 30))
+    xs = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n,
+                               unique=True)))
+    slopes = np.sort(draw(st.lists(st.floats(-10.0, 10.0), min_size=n,
+                                   max_size=n)))
+    ys = np.concatenate([[1.0], 1.0 + np.cumsum(slopes[1:] * np.diff(xs))])
+    kind = draw(st.sampled_from(("convex", "perturbed", "repeated")))
+    if kind == "perturbed":
+        ys = ys + np.array(draw(st.lists(st.floats(-1e-3, 1e-3), min_size=n,
+                                         max_size=n)))
+    if kind == "repeated":
+        again = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                       max_size=n)))
+        shift = np.array(draw(st.lists(st.floats(-0.5, 0.5),
+                                       min_size=again.size,
+                                       max_size=again.size)))
+        xs, ys = np.append(xs, xs[again]), np.append(ys, ys[again] + shift)
+    perm = np.array(draw(st.permutations(range(xs.size))))
+    return xs[perm], ys[perm]
+
+
+@given(_hull_inputs())
+@settings(max_examples=300, deadline=None)
+def test_lower_convex_hull_bits_match_loop(points):
+    got = T.lower_convex_hull(*points)
+    want = _hull_loop(*points)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_piecewise_knot_validation():
     with pytest.raises(T.ParameterError):
         T.TradeoffCurve(kind="piecewise", provenance="bad",
