@@ -10,7 +10,6 @@ log scale suffices.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable
 
@@ -81,13 +80,16 @@ class CalibrationResult:
 # --------------------------------------------------------------------------
 # risk evaluation per method
 
-@dataclasses.dataclass(frozen=True)
 class PriorBound:
     """A prior method's success bound over base arrays (also the call) and
-    its largest advantage over all baselines, computed only when asked."""
+    its largest advantage over all baselines, computed only when asked.
+    A plain slotted class: ``risk_at`` builds one per noise scale."""
 
-    success: Callable[[np.ndarray], np.ndarray]
-    worst_case: Callable[[], float]
+    __slots__ = ("success", "worst_case")
+
+    def __init__(self, success: Callable[[np.ndarray], np.ndarray],
+                 worst_case: Callable[[], float]):
+        self.success, self.worst_case = success, worst_case
 
     def __call__(self, bases):
         return self.success(bases)
@@ -110,7 +112,9 @@ def method_bound(spec: MechanismSpec, method: str,
         if spec.family != "gaussian":
             raise ParameterError("zCDP accounting requires the Gaussian family")
         rho = (spec.sensitivity / spec.noise_scale) ** 2 * k / 2.0
-        success = functools.partial(prior_bounds.srr_bound_zcdp, rho=rho)
+
+        def success(bases):
+            return prior_bounds.srr_bound_zcdp(bases, rho)
         # its orders are a continuum, with no hull: a numeric maximum
         return PriorBound(success, lambda: max(
             0.0, _concave_max(lambda b: success(b) - b)))
@@ -156,7 +160,7 @@ def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
         return 0.0, 1.0, bound.worst_case()
     base = risk.baseline_value(baseline)
     if not isinstance(bound, TradeoffCurve):
-        succ = float(bound(np.array([base]))[0])
+        succ = float(bound.success(np.array([base]))[0])
     elif baseline.kind == "bernoulli":
         succ = risk.bernoulli_succ_bound(bound, baseline.pi)
     else:
