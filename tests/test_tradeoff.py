@@ -446,7 +446,7 @@ def _hull_inputs(draw):
     xs = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n,
                                unique=True)))
     slopes = np.sort(draw(st.lists(st.floats(-10.0, 10.0), min_size=n,
-                                   max_size=n)))
+                                   max_size=n, unique=True)))
     ys = np.concatenate([[1.0], 1.0 + np.cumsum(slopes[1:] * np.diff(xs))])
     kind = draw(st.sampled_from(("convex", "perturbed", "repeated")))
     if kind == "perturbed":
