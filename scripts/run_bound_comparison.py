@@ -11,26 +11,18 @@ import sys
 
 import numpy as np
 
-from fdprisk import prior_bounds as P
-from fdprisk import risk as R
-from fdprisk import tradeoff as T
+from fdprisk import calibrate as C
+from fdprisk.accountant import MechanismSpec
+from fdprisk.risk import BaselineSpec
+
+# CSV label -> (method, RDP order) of calibrate.method_bound
+METHODS = {"fdp": ("fdp", None), "zcdp": ("zcdp", None),
+           "rdp-t2": ("rdp", 2.0), "rdp": ("rdp", None)}
 
 
-def advantage(method, mu, base):
-    if method == "fdp":
-        return R.adv_bound(T.gaussian_curve(mu), base)
-    if method == "zcdp":
-        return max(0.0, P.srr_bound_zcdp(base, mu * mu / 2) - base)
-    if method == "rdp-t2":
-        succ = P.srr_bound_rdp_curve(base, [P.gaussian_rdp_epsilon(2.0, mu)],
-                                     [2.0])
-        return max(0.0, succ - base)
-    if method == "rdp":
-        grid = P.default_t_grid()
-        succ = P.srr_bound_rdp_curve(base, P.gaussian_rdp_epsilon(grid, mu),
-                                     grid)
-        return max(0.0, float(succ) - base)
-    raise ValueError(method)
+def advantage(label, sigma, base):
+    bound = C.method_bound(MechanismSpec("gaussian", sigma), *METHODS[label])
+    return C.bound_at(bound, BaselineSpec.fixed(base))[2]
 
 
 def main(argv=None):
@@ -44,20 +36,18 @@ def main(argv=None):
 
     bases = [float(b) for b in args.bases.split(",")]
     sigmas = np.geomspace(args.sigma_min, args.sigma_max, args.points)
-    methods = ("fdp", "zcdp", "rdp-t2", "rdp")
 
     out = sys.stdout if args.output == "-" else open(args.output, "w")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["sigma", "base", "method", "advantage_bound"])
     for sigma in sigmas:
-        mu = 1.0 / sigma
         for base in bases:
-            for method in methods:
+            for method in METHODS:
                 writer.writerow([f"{sigma:.6g}", f"{base:g}", method,
-                                 f"{advantage(method, mu, base):.10g}"])
+                                 f"{advantage(method, sigma, base):.10g}"])
     if out is not sys.stdout:
         out.close()
-        print(f"wrote {args.points * len(bases) * len(methods)} rows "
+        print(f"wrote {args.points * len(bases) * len(METHODS)} rows "
               f"to {args.output}", file=sys.stderr)
 
 

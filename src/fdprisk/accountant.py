@@ -10,7 +10,6 @@ emitted delta (and every downstream risk bound) is a certified upper bound.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 
@@ -264,18 +263,3 @@ def spec_from_section(section) -> MechanismSpec:
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"invalid mechanism config: {exc}") from None
 
-
-def spec_from_config(path: str) -> MechanismSpec:
-    """Parse a mechanism spec from a key-value config file.
-
-    Keys as in ``spec_from_section``, in a ``[mechanism]`` section or
-    top-level ``[DEFAULT]``.
-    """
-    cp = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            cp.read_string(fh.read())
-    except (OSError, configparser.Error) as exc:
-        raise ParameterError(f"cannot parse mechanism config: {exc}") from None
-    return spec_from_section(cp["mechanism"] if cp.has_section("mechanism")
-                             else cp["DEFAULT"])

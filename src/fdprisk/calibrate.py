@@ -81,8 +81,8 @@ class CalibrationResult:
 # risk evaluation per method
 
 class PriorBound:
-    """A prior method's success bound over base arrays (also the call) and
-    its largest advantage over all baselines, computed only when asked.
+    """A prior method's success bound over base arrays and its largest
+    advantage over all baselines, computed only when asked.
     A plain slotted class: ``risk_at`` builds one per noise scale."""
 
     __slots__ = ("success", "worst_case")
@@ -90,9 +90,6 @@ class PriorBound:
     def __init__(self, success: Callable[[np.ndarray], np.ndarray],
                  worst_case: Callable[[], float]):
         self.success, self.worst_case = success, worst_case
-
-    def __call__(self, bases):
-        return self.success(bases)
 
 
 def method_bound(spec: MechanismSpec, method: str,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import io
 import json
 import os
@@ -71,7 +72,7 @@ def _curve_from_args(args) -> TradeoffCurve:
         with open(args.curve) as fh:
             return tradeoff.curve_from_csv(fh)
     if args.mechanism is not None:
-        return accountant.curve_of(accountant.spec_from_config(args.mechanism))
+        return _mechanism(_read_config(args.mechanism))[0]
     raise ParameterError(
         "specify a curve source: --gaussian-mu, --laplace-eps, --rr-p, "
         "--epsilon [--delta], --profile, --curve, or --mechanism")
@@ -131,36 +132,46 @@ def _parse_method(text: str) -> tuple[str, float | None]:
     raise ParameterError(f"unknown method {text!r}")
 
 
-def _load_scenario(path: str) -> dict:
-    cp = configparser.ConfigParser()
+def _read_config(path: str) -> configparser.ConfigParser:
+    """A config file with a ``[mechanism]`` section."""
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             cp.read_string(fh.read())
     except (OSError, configparser.Error) as exc:
-        raise ParameterError(f"cannot read scenario {path!r}: {exc}") from None
+        raise ParameterError(f"cannot read config {path!r}: {exc}") from None
     if not cp.has_section("mechanism"):
-        raise ParameterError("scenario needs a [mechanism] section")
-    mech_sec = dict(cp["mechanism"])
-    mech: dict = {}
-    if "curve_file" in mech_sec:
-        with open(mech_sec["curve_file"]) as fh:
-            mech["kind"] = "curve"
-            mech["curve"] = tradeoff.curve_from_csv(fh)
-    elif "profile_file" in mech_sec:
-        with open(mech_sec["profile_file"]) as fh:
-            mech["kind"] = "curve"
-            mech["curve"] = tradeoff.curve_from_profile(
-                tradeoff.profile_from_csv(fh))
-    elif "epsilon" in mech_sec and "family" not in mech_sec:
-        mech["kind"] = "eps_delta"
-        mech["epsilon"] = float(mech_sec["epsilon"])
-        mech["delta"] = float(mech_sec.get("delta", "0"))
-        mech["curve"] = tradeoff.curve_from_epsilon_delta(mech["epsilon"],
-                                                          mech["delta"])
+        raise ParameterError(f"config {path!r} needs a [mechanism] section")
+    return cp
+
+
+def _mechanism(cp: configparser.ConfigParser):
+    """(curve, spec or None, report parameters) of the ``[mechanism]``
+    section: a curve or profile CSV file, a bare epsilon / delta, or the
+    keys of ``accountant.spec_from_section``."""
+    sec = cp["mechanism"]
+    if "curve_file" in sec:
+        with open(sec["curve_file"]) as fh:
+            curve = tradeoff.curve_from_csv(fh)
+    elif "profile_file" in sec:
+        with open(sec["profile_file"]) as fh:
+            curve = tradeoff.curve_from_profile(tradeoff.profile_from_csv(fh))
+    elif "epsilon" in sec and "family" not in sec:
+        try:
+            params = {"epsilon": float(sec["epsilon"]),
+                      "delta": float(sec.get("delta", "0"))}
+        except ValueError as exc:
+            raise ParameterError(f"invalid mechanism config: {exc}") from None
+        return tradeoff.curve_from_epsilon_delta(**params), None, params
     else:
-        mech["kind"] = "spec"
-        mech["spec"] = accountant.spec_from_section(mech_sec)
-        mech["curve"] = accountant.curve_of(mech["spec"])
+        spec = accountant.spec_from_section(sec)
+        return accountant.curve_of(spec), spec, dataclasses.asdict(spec)
+    return curve, None, {"curve": curve.provenance}
+
+
+def _load_scenario(path: str) -> dict:
+    cp = _read_config(path)
+    mech = _mechanism(cp)
     baselines = []
     if cp.has_section("baselines"):
         for _, v in cp["baselines"].items():
@@ -179,34 +190,23 @@ def _load_scenario(path: str) -> dict:
             "methods": methods}
 
 
-def _mech_params(mech: dict) -> dict:
-    if mech["kind"] == "spec":
-        s = mech["spec"]
-        return {"family": s.family, "noise_scale": s.noise_scale,
-                "sensitivity": s.sensitivity, "compositions": s.compositions,
-                "neighborhood": s.neighborhood}
-    if mech["kind"] == "eps_delta":
-        return {"epsilon": mech["epsilon"], "delta": mech["delta"]}
-    return {"curve": mech["curve"].provenance}
-
-
-def _bound_report(mech: dict, baseline_label: str, baseline: BaselineSpec,
+def _bound_report(mech: tuple, baseline_label: str, baseline: BaselineSpec,
                   method_label: str, method: str, rdp_order: float | None,
                   bounds: dict) -> RiskReport:
-    """One row of the bound table; ``bounds`` caches each method's bound."""
-    params = _mech_params(mech)
-    params["baseline"] = baseline_label
+    """One row of the bound table for a ``_mechanism`` triple; ``bounds``
+    caches each method's bound."""
+    curve, spec, params = mech
+    params = {**params, "baseline": baseline_label}
     if baseline.kind == "pso_weight":
         # union singling-out bounds over the n records, not a method bound
         if method == "fdp":
-            succ = prior_bounds.pso_bound_fdp(baseline.n, baseline.w,
-                                              mech["curve"])
+            succ = prior_bounds.pso_bound_fdp(baseline.n, baseline.w, curve)
         elif method == "eps_delta":
-            if mech["kind"] != "eps_delta":
+            if "epsilon" not in params:
                 raise ParameterError(
                     "eps_delta PSO bound needs an (epsilon, delta) mechanism")
             succ = prior_bounds.pso_bound_eps_delta(
-                baseline.n, baseline.w, mech["epsilon"], mech["delta"])
+                baseline.n, baseline.w, params["epsilon"], params["delta"])
         else:
             raise ParameterError(
                 f"method {method_label!r} has no singling-out bound")
@@ -216,13 +216,12 @@ def _bound_report(mech: dict, baseline_label: str, baseline: BaselineSpec,
         key = (method, rdp_order)
         if key not in bounds:
             if method == "fdp":
-                bounds[key] = mech["curve"]
-            elif mech["kind"] != "spec":
+                bounds[key] = curve
+            elif spec is None:
                 raise ParameterError(f"method {method_label!r} needs a "
                                      "parametric mechanism spec")
             else:
-                bounds[key] = calibrate.method_bound(mech["spec"], method,
-                                                     rdp_order)
+                bounds[key] = calibrate.method_bound(spec, method, rdp_order)
         base, succ, adv = calibrate.bound_at(bounds[key], baseline)
     return RiskReport(method=method_label, baseline_value=base,
                       success_bound=succ, advantage_bound=adv,

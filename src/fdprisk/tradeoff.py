@@ -62,23 +62,26 @@ def lower_convex_hull(alphas: np.ndarray, betas: np.ndarray):
     if alphas.size and np.all(alphas[1:] > alphas[:-1]) and not np.any(
             (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1)):
         return alphas, betas
-    hull: list[tuple[float, float]] = []
-    for x, y in zip(alphas, betas):
-        if hull and hull[-1][0] == x:
-            if y < hull[-1][1]:
-                hull.pop()
+    # Python floats in two lists: the same IEEE arithmetic as numpy
+    # scalars, at half the time
+    xs: list[float] = []
+    ys: list[float] = []
+    for x, y in zip(alphas.tolist(), betas.tolist()):
+        if xs and xs[-1] == x:
+            if y < ys[-1]:
+                xs.pop(); ys.pop()
             else:
                 continue
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+        while len(xs) >= 2:
+            x1, y1, x2, y2 = xs[-2], ys[-2], xs[-1], ys[-1]
             # drop the middle point if it lies on or above the chord
             if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
-                hull.pop()
+                xs.pop(); ys.pop()
             else:
                 break
-        hull.append((x, y))
-    pts = np.array(hull)
-    return pts[:, 0], pts[:, 1]
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
 
 
 # --------------------------------------------------------------------------
@@ -215,29 +218,19 @@ def curve_from_epsilon_delta(epsilon: float, delta: float) -> TradeoffCurve:
 
 
 def _upper_envelope_of_lines(slopes: np.ndarray, intercepts: np.ndarray):
-    """Knots of max_j (intercepts[j] + slopes[j] * x) restricted to [0, 1]."""
-    order = np.lexsort((intercepts, slopes))
-    slopes, intercepts = slopes[order], intercepts[order]
-    # for equal slopes only the largest intercept can matter
-    keep = np.concatenate([slopes[1:] != slopes[:-1], [True]])
-    slopes, intercepts = slopes[keep], intercepts[keep]
-    hull_s: list[float] = []
-    hull_c: list[float] = []
-    xs: list[float] = []  # xs[i] = intersection of hull line i-1 with line i
-    for s, c in zip(slopes, intercepts):
-        while hull_s:
-            x = (hull_c[-1] - c) / (s - hull_s[-1])
-            if xs and x <= xs[-1]:
-                hull_s.pop(); hull_c.pop(); xs.pop()
-            else:
-                xs.append(x)
-                break
-        hull_s.append(s)
-        hull_c.append(c)
-    knots_x = np.unique([0.0] + [x for x in xs if 0.0 < x < 1.0] + [1.0])
-    s_arr, c_arr = np.array(hull_s), np.array(hull_c)
-    values = s_arr[None, :] * knots_x[:, None]
-    values += c_arr[None, :]  # in place: one 128 MB matrix, not two
+    """Knots of max_j (intercepts[j] + slopes[j] * x) restricted to [0, 1].
+
+    The lines on the envelope are the upper hull of the points (slope,
+    intercept), by point-line duality; of equal slopes the hull keeps the
+    largest intercept. Consecutive hull lines meet at the knots.
+    """
+    s, c = lower_convex_hull(slopes, -intercepts)
+    c = -c
+    xs = (c[:-1] - c[1:]) / (s[1:] - s[:-1])
+    knots_x = np.unique(np.concatenate([[0.0], xs[(xs > 0.0) & (xs < 1.0)],
+                                        [1.0]]))
+    values = s[None, :] * knots_x[:, None]
+    values += c[None, :]  # in place: one 128 MB matrix, not two
     return knots_x, values.max(axis=1)
 
 
@@ -438,12 +431,15 @@ def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
 
 
 def gaussian_mu_at(epsilon: float, delta: float) -> float:
-    """The mu at which the Gaussian curve's delta(epsilon) equals delta: the
-    least private Gaussian that is (epsilon, delta)-DP, for mu in [1e-4, 80]."""
-    from scipy import optimize  # loaded on first use: it is slow to import
-    return optimize.brentq(
-        lambda m: delta_for_epsilon(gaussian_curve(m), epsilon) - delta,
-        1e-4, 80.0, xtol=1e-12)
+    """The largest mu in [1e-4, 80] whose Gaussian curve has delta(epsilon)
+    at most delta: the least private Gaussian that is (epsilon, delta)-DP."""
+    def ok(t):  # on t = -mu, so that _bisect's answer meets the target
+        return delta_for_epsilon(gaussian_curve(-t), epsilon) <= delta
+
+    if not ok(-1e-4) or ok(-80.0):
+        raise ParameterError(f"no mu in [1e-4, 80] has delta({epsilon!r}) "
+                             f"= {delta!r}")
+    return -_bisect(ok, -80.0, -1e-4, steps=200)
 
 
 def profile_from_curve(f: TradeoffCurve, epsilons: Sequence[float]) -> PrivacyProfile:

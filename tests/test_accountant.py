@@ -29,34 +29,6 @@ def test_spec_validation():
                         neighborhood="swap-two")
 
 
-def test_spec_from_config_text(tmp_path):
-    section = {"family": "laplace", "noise_scale": "5.0",
-               "sensitivity": "1.0", "compositions": "3",
-               "neighborhood": "replace-one"}
-    spec = A.spec_from_section(section)
-    assert spec.family == "laplace"
-    assert spec.noise_scale == 5.0
-    assert spec.compositions == 3
-    assert spec.neighborhood == "replace-one"
-    path = tmp_path / "mech.cfg"
-    path.write_text("[mechanism]\n" + "".join(f"{k} = {v}\n"
-                                              for k, v in section.items()))
-    assert A.spec_from_config(str(path)) == spec
-
-
-def test_spec_from_config_errors(tmp_path):
-    with pytest.raises(T.ParameterError):
-        A.spec_from_section({"family": "gaussian"})
-    with pytest.raises(T.ParameterError):
-        A.spec_from_section({"family": "gaussian", "noise_scale": "x"})
-    malformed = tmp_path / "bad.cfg"
-    malformed.write_text("[mechanism\nfamily = gaussian\n")
-    with pytest.raises(T.ParameterError):
-        A.spec_from_config(str(malformed))
-    with pytest.raises(T.ParameterError):
-        A.spec_from_config("/nonexistent/path.cfg")
-
-
 # ---------------------------------------------------------------- curve_of
 
 def test_gaussian_curve_of_and_composition():

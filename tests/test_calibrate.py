@@ -187,5 +187,5 @@ def test_worst_case_vacuous_rdp_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bound = C.method_bound(spec, "rdp")
-        assert bound(np.array([0.0, 0.5]))[0] == 0.0
+        assert bound.success(np.array([0.0, 0.5]))[0] == 0.0
         assert C.bound_at(bound, WORST)[2] == 1.0

@@ -1,5 +1,6 @@
 """CLI front end: subcommands, formats, exit codes, determinism."""
 
+import io
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import warnings
 
 import pytest
 
-from fdprisk import calibrate, cli
+from fdprisk import accountant, calibrate, cli, tradeoff
 from fdprisk.calibrate import CalibrationRequest
 
 GAUSS_SCENARIO = """
@@ -44,6 +45,9 @@ worst = worst_case
 [methods]
 methods = fdp
 """
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -150,13 +154,12 @@ def test_cli_start_skips_slow_scipy_modules():
         "print(code, sorted({'scipy.stats', 'scipy.signal', 'scipy.optimize',"
         " 'scipy.fft'} & set(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     calibrate = ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
                  "--methods", "fdp,zcdp,rdp", "--baseline"]
     for argv in (["bound", "--scenario",
-                  os.path.join(root, "scenarios", "example_gaussian.cfg")],
+                  os.path.join(ROOT, "scenarios", "example_gaussian.cfg")],
                  calibrate + ["bernoulli:0.5"], calibrate + ["worst_case"]):
         out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                              capture_output=True, text=True, check=True)
@@ -174,6 +177,54 @@ def test_tradeoff_profile_file(tmp_path, capsys):
     code, out = run(capsys, "tradeoff", "--profile", str(prof))
     assert code == 0
     assert out.startswith("alpha,f\n")
+
+
+def test_tradeoff_mechanism_spec_file(tmp_path, capsys):
+    section = {"family": "laplace", "noise_scale": "5.0",
+               "sensitivity": "1.0", "compositions": "3",
+               "neighborhood": "replace-one"}
+    spec = accountant.spec_from_section(section)
+    assert spec == accountant.MechanismSpec("laplace", 5.0, 1.0, 3,
+                                            "replace-one")
+    path = tmp_path / "mech.cfg"
+    path.write_text("[mechanism]\n" + "".join(f"{k} = {v}\n"
+                                              for k, v in section.items()))
+    code, out = run(capsys, "tradeoff", "--mechanism", str(path))
+    assert code == 0
+    want = io.StringIO()
+    tradeoff.curve_to_csv(accountant.curve_of(spec), want)
+    assert out == want.getvalue()
+
+
+def test_tradeoff_mechanism_file_errors(tmp_path, capsys):
+    texts = {
+        "no_scale": "[mechanism]\nfamily = gaussian\n",
+        "bad_scale": "[mechanism]\nfamily = gaussian\nnoise_scale = x\n",
+        "percent": "[mechanism]\nfamily = gaussian\nnoise_scale = 5%\n",
+        "bad_epsilon": "[mechanism]\nepsilon = x\n",
+        "malformed": "[mechanism\nfamily = gaussian\n",
+        "no_section": "[DEFAULT]\nfamily = gaussian\nnoise_scale = 1\n",
+    }
+    paths = [str(tmp_path / "missing.cfg")]
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    for path in paths:
+        # one reader for both commands: exit 2 with a message, no exception
+        for argv in (("tradeoff", "--mechanism", path),
+                     ("bound", "--scenario", path)):
+            code = cli.main(list(argv))
+            err = capsys.readouterr().err
+            assert code == 2, (argv, err)
+            assert err.startswith("error: ")
+
+
+def test_tradeoff_mechanism_takes_scenario_section(capsys):
+    path = os.path.join(ROOT, "scenarios", "census_state.cfg")
+    code, out = run(capsys, "tradeoff", "--mechanism", path)
+    assert code == 0
+    assert out == run(capsys, "tradeoff", "--epsilon", "10.6",
+                      "--delta", "1e-10")[1]
 
 
 def test_bound_scenario_table(tmp_path, capsys):

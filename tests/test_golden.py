@@ -57,6 +57,8 @@ COMMANDS = {
     "tradeoff_gaussian_mu1": ["tradeoff", "--gaussian-mu", "1"],
     "tradeoff_laplace_k3": ["tradeoff", "--mechanism", LAPLACE_K3],
     "tradeoff_rr_k18": ["tradeoff", "--mechanism", RR_K18],
+    # any scenario's [mechanism] section: the (epsilon, delta) curve
+    "tradeoff_census_mechanism": ["tradeoff", "--mechanism", CENSUS],
 }
 
 

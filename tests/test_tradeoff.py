@@ -143,6 +143,31 @@ def test_envelope_knot_values_are_the_max_over_every_line():
     assert np.array_equal(ky, ref)
 
 
+@st.composite
+def _lines(draw):
+    """Lines y = c + s x, some slopes repeated at another intercept."""
+    n = draw(st.integers(1, 40))
+    slopes = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    again = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    slopes += [slopes[i] for i in again]
+    intercepts = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(slopes),
+                               max_size=len(slopes)))
+    return np.array(slopes), np.array(intercepts)
+
+
+@given(_lines(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_envelope_values_are_the_brute_force_max(lines, xs):
+    slopes, intercepts = lines
+    kx, ky = T._upper_envelope_of_lines(slopes, intercepts)
+    assert kx[0] == 0.0 and kx[-1] == 1.0 and np.all(np.diff(kx) > 0)
+    x = np.concatenate([kx, xs])
+    brute = (intercepts[None, :] + slopes[None, :] * x[:, None]).max(axis=1)
+    # at the knots and, by interpolation, between them
+    got = np.concatenate([ky, np.interp(xs, kx, ky)])
+    assert np.allclose(got, brute, rtol=0.0, atol=1e-12)
+
+
 def test_empty_profile_rejected():
     with pytest.raises(T.ParameterError):
         T.PrivacyProfile(np.zeros((0, 2)))
@@ -295,6 +320,23 @@ def test_profile_from_curve_trivial_and_roundtrip():
     assert np.allclose(prof.deltas, 0.0, atol=1e-12)
     f = T.curve_from_epsilon_delta(1.0, 1e-5)
     assert T.delta_for_epsilon(f, 1.0) == pytest.approx(1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", (0.5, 1.0, 2.0, 5.0, 10.6, 20.0))
+def test_gaussian_mu_at_meets_delta(eps):
+    for delta in (1e-12, 1e-10, 1e-9, 1e-6, 1e-3):
+        mu = T.gaussian_mu_at(eps, delta)
+        assert T.delta_for_epsilon(T.gaussian_curve(mu), eps) <= delta
+        # and no much larger mu does
+        assert T.delta_for_epsilon(T.gaussian_curve(mu * (1 + 1e-9)),
+                                   eps) > delta
+
+
+def test_gaussian_mu_at_without_root():
+    with pytest.raises(T.ParameterError):
+        T.gaussian_mu_at(0.0, 0.0)  # delta(0) > 0 at mu = 1e-4 already
+    with pytest.raises(T.ParameterError):
+        T.gaussian_mu_at(1.0, 1.0)  # mu = 80 meets delta = 1 too
 
 
 def test_gaussian_profile_matches_high_precision_oracle():
