@@ -262,4 +262,3 @@ def spec_from_section(section) -> MechanismSpec:
         )
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"invalid mechanism config: {exc}") from None
-
