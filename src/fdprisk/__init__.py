@@ -12,16 +12,16 @@ from .calibrate import (CalibrationRequest, CalibrationResult,
 from .risk import BaselineSpec, RiskReport, adv_bound, adv_bound_worst_case, \
     baseline_value, succ_bound
 from .tradeoff import (ParameterError, PrivacyProfile, TradeoffCurve,
-                       TvParameter, curve_from_epsilon_delta,
-                       curve_from_profile, gaussian_curve, group_privacy,
-                       laplace_curve, profile_from_curve, tv_from_curve)
+                       curve_from_epsilon_delta, curve_from_profile,
+                       gaussian_curve, group_privacy, laplace_curve,
+                       profile_from_curve, tv_from_curve)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaselineSpec", "CalibrationRequest", "CalibrationResult",
     "InfeasibleTargetError", "MechanismSpec", "ParameterError", "PldGrid",
-    "PrivacyProfile", "RiskReport", "TradeoffCurve", "TvParameter",
+    "PrivacyProfile", "RiskReport", "TradeoffCurve",
     "adv_bound", "adv_bound_worst_case", "baseline_value", "calibrate_noise",
     "curve_from_epsilon_delta", "curve_from_profile", "curve_of",
     "gaussian_curve", "group_privacy", "laplace_curve", "profile_from_curve",

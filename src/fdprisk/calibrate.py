@@ -72,9 +72,6 @@ class CalibrationResult:
     noise_scale: float
     status: str  # "ok" or "trivial"
     achieved_risk: float
-    method: str
-    target_kind: str
-    target_value: float
 
 
 # --------------------------------------------------------------------------
@@ -213,9 +210,7 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
 
     if risk_lo <= req.target_value:
         return CalibrationResult(noise_scale=lo, status="trivial",
-                                 achieved_risk=risk_lo, method=req.method,
-                                 target_kind=req.target_kind,
-                                 target_value=req.target_value)
+                                 achieved_risk=risk_lo)
     expansions = 0
     while risk_hi > req.target_value:
         expansions += 1
@@ -243,6 +238,4 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
     if achieved > req.target_value + 1e-12:
         raise ConsistencyError("bisection landed above the target")
     return CalibrationResult(noise_scale=sigma, status="ok",
-                             achieved_risk=achieved, method=req.method,
-                             target_kind=req.target_kind,
-                             target_value=req.target_value)
+                             achieved_risk=achieved)

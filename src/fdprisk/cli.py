@@ -80,17 +80,16 @@ def _curve_from_args(args) -> TradeoffCurve:
 
 def cmd_tradeoff(args) -> int:
     curve = _curve_from_args(args)
-    grid = tradeoff.default_alpha_grid(args.grid_points)
-    knots = curve.as_knots(None if curve.is_piecewise else grid)
+    grid = (None if curve.is_piecewise
+            else tradeoff.default_alpha_grid(args.grid_points))
     if args.format == "json":
         payload = {"provenance": curve.provenance,
                    "knots": [{"alpha": float(a), "f": float(b)}
-                             for a, b in knots]}
+                             for a, b in curve.as_knots(grid)]}
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
         buf = io.StringIO()
-        tradeoff.curve_to_csv(curve, buf,
-                              None if curve.is_piecewise else grid)
+        tradeoff.curve_to_csv(curve, buf, grid)
         _emit(args, buf.getvalue())
     return EXIT_OK
 
@@ -109,7 +108,8 @@ def parse_baseline(text: str) -> tuple[str, BaselineSpec]:
         if kind == "pso":
             return text, BaselineSpec.pso_weight(int(parts[1]), float(parts[2]))
         if kind == "spso":
-            return text, BaselineSpec.spso_weight(float(parts[1]))
+            # the simple singling-out weight w is a fixed baseline w
+            return text, BaselineSpec.fixed(float(parts[1]))
         if kind == "bernoulli":
             return text, BaselineSpec.bernoulli(float(parts[1]))
         if kind == "worst_case":
@@ -302,14 +302,16 @@ def cmd_calibrate(args) -> int:
 # queries
 
 def cmd_queries(args) -> int:
-    eps = args.sensitivity / args.b
+    # checks b and the sensitivity before they are divided
+    spec = MechanismSpec(family="laplace", noise_scale=args.b,
+                         sensitivity=args.sensitivity)
+    eps = spec.sensitivity / spec.noise_scale
     rows = []
     max_k_fdp = 0
     max_k_std = 0
     for k in range(1, args.k_max + 1):
-        spec = MechanismSpec(family="laplace", noise_scale=args.b,
-                             sensitivity=args.sensitivity, compositions=k)
-        f_fdp = accountant.curve_of(spec, grid_step=args.grid_step)
+        f_fdp = accountant.curve_of(
+            dataclasses.replace(spec, compositions=k), grid_step=args.grid_step)
         adv_fdp = risk.adv_bound(f_fdp, args.base)
         eps_g, _ = prior_bounds.optimal_composition_pure(eps, k,
                                                          args.delta_std)
@@ -363,8 +365,8 @@ def _curve_invariant_violations(curve: TradeoffCurve,
     return errs
 
 
-def run_verification(seed: int = 0, n_pairs: int = 60,
-                     inject_violation: bool = False) -> tuple[bool, list[str]]:
+def run_verification(seed: int = 0,
+                     n_pairs: int = 60) -> tuple[bool, list[str]]:
     """Oracle corpus: curve invariants, TV consistency, attack soundness."""
     rng = np.random.default_rng(seed)
     lines = []
@@ -387,7 +389,7 @@ def run_verification(seed: int = 0, n_pairs: int = 60,
         else:
             n_inv += 1
         tv = oracle.exact_tv(pair)
-        if abs(tv - tradeoff.tv_from_curve(curve).eta) > 1e-10:
+        if abs(tv - tradeoff.tv_from_curve(curve)) > 1e-10:
             ok = False
             lines.append(f"FAIL pair {i}: TV mismatch")
         else:
@@ -426,24 +428,12 @@ def run_verification(seed: int = 0, n_pairs: int = 60,
         ok = False
         lines.append(f"FAIL randomized-response tightness (gap {gap:.2e})")
 
-    if inject_violation:
-        bad = TradeoffCurve(kind="piecewise", provenance="injected",
-                            knots=np.array([[0.0, 1.0], [0.5, 0.1],
-                                            [0.6, 0.4], [1.0, 0.0]]))
-        errs = _curve_invariant_violations(bad, grid)
-        if errs:
-            ok = False
-            lines.append(f"FAIL injected curve: {'; '.join(errs)}")
-        else:
-            lines.append("PASS injected curve (unexpected)")
-
     lines.append("VERIFICATION " + ("PASSED" if ok else "FAILED"))
     return ok, lines
 
 
 def cmd_verify(args) -> int:
-    ok, lines = run_verification(seed=args.seed, n_pairs=args.pairs,
-                                 inject_violation=args.inject_violation)
+    ok, lines = run_verification(seed=args.seed, n_pairs=args.pairs)
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -512,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the brute-force oracle corpus")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=60)
-    p.add_argument("--inject-violation", action="store_true",
-                   help=argparse.SUPPRESS)
     add_common(p)
     p.set_defaults(func=cmd_verify)
     return ap

@@ -56,8 +56,7 @@ def exact_tradeoff(pair: DiscretePair) -> TradeoffCurve:
     betas = np.clip(betas, 0.0, 1.0)
     alphas[-1], betas[-1] = 1.0, 0.0
     a, b = lower_convex_hull(alphas, betas)  # keeps (0, .) and (1, 0)
-    return TradeoffCurve(kind="piecewise", provenance="oracle_np",
-                         knots=np.column_stack([a, b]))
+    return TradeoffCurve(provenance="oracle_np", knots=np.column_stack([a, b]))
 
 
 def exact_tv(pair: DiscretePair) -> float:

@@ -19,7 +19,7 @@ from .tradeoff import ParameterError, TradeoffCurve, _concave_max, tv_from_curve
 class BaselineSpec:
     """Attack baseline: best success achievable without the output.
 
-    kind is one of fixed / pso_weight / spso_weight / bernoulli / worst_case.
+    kind is one of fixed / pso_weight / bernoulli / worst_case.
     """
 
     kind: str
@@ -38,9 +38,6 @@ class BaselineSpec:
                 raise ParameterError("pso_weight needs integer n > 1")
             if self.w is None or not 0.0 <= self.w <= 1.0 / self.n:
                 raise ParameterError("pso_weight needs w in [0, 1/n]")
-        elif k == "spso_weight":
-            if self.w is None or not 0.0 <= self.w <= 1.0:
-                raise ParameterError("spso_weight needs w in [0, 1]")
         elif k == "bernoulli":
             if self.pi is None or not 0.0 <= self.pi <= 1.0:
                 raise ParameterError("bernoulli needs pi in [0, 1]")
@@ -54,10 +51,6 @@ class BaselineSpec:
     @classmethod
     def pso_weight(cls, n: int, w: float) -> "BaselineSpec":
         return cls(kind="pso_weight", n=n, w=w)
-
-    @classmethod
-    def spso_weight(cls, w: float) -> "BaselineSpec":
-        return cls(kind="spso_weight", w=w)
 
     @classmethod
     def bernoulli(cls, pi: float) -> "BaselineSpec":
@@ -74,8 +67,6 @@ def baseline_value(spec: BaselineSpec) -> float:
         return float(spec.base)
     if spec.kind == "pso_weight":
         return float(spec.n * spec.w * (1.0 - spec.w) ** (spec.n - 1))
-    if spec.kind == "spso_weight":
-        return float(spec.w)
     if spec.kind == "bernoulli":
         return float(max(spec.pi, 1.0 - spec.pi))
     raise ParameterError("worst_case baseline has no scalar value")
@@ -101,7 +92,7 @@ def adv_bound(f: TradeoffCurve, base: float) -> float:
 
 def adv_bound_worst_case(f: TradeoffCurve) -> float:
     """Advantage over any baseline is at most the TV parameter eta."""
-    return tv_from_curve(f).eta
+    return tv_from_curve(f)
 
 
 def bayes_error(f: TradeoffCurve, pi: float) -> float:

@@ -43,6 +43,8 @@ def default_alpha_grid(n: int = 2001) -> np.ndarray:
     Risk baselines of practical interest (e.g. rare-attribute priors around
     1e-4) live near alpha = 0, so uniform grids waste resolution.
     """
+    if n < 2:
+        raise ParameterError(f"an alpha grid needs n >= 2 points, got {n}")
     half = np.logspace(-12.0, np.log10(0.5), n // 2)
     return np.unique(np.concatenate([[0.0], half, 1.0 - half[::-1], [1.0]]))
 
@@ -92,16 +94,16 @@ class TradeoffCurve:
     """A convex, non-increasing trade-off function on [0, 1].
 
     Either analytic (``fn`` set, evaluated exactly) or piecewise linear
-    (``knots`` set, linearly interpolated). ``kind`` tags the construction so
-    that derived quantities can use closed forms where they exist.
+    (``knots`` set, linearly interpolated). ``delta`` is the curve's privacy
+    profile eps -> delta(eps) in closed form, where its family has one.
     """
 
-    kind: str
     provenance: str
-    params: tuple = ()
     fn: Callable[[np.ndarray], np.ndarray] | None = dataclasses.field(
         default=None, repr=False, compare=False)
     knots: np.ndarray | None = dataclasses.field(default=None, repr=False)
+    delta: Callable[[float], float] | None = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.fn is None and self.knots is None:
@@ -179,19 +181,14 @@ class PrivacyProfile:
         return self.points[:, 1]
 
 
-@dataclasses.dataclass(frozen=True)
-class TvParameter:
-    """Total-variation privacy level: the mechanism satisfies (0, eta)-DP."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ParameterError(f"eta must lie in [0, 1], got {self.eta}")
-
-
 # --------------------------------------------------------------------------
 # constructors
+
+def _zero_curve(provenance: str) -> TradeoffCurve:
+    """The blatantly non-private curve f = 0, with delta(eps) = 1."""
+    return TradeoffCurve(provenance=provenance, fn=lambda a: np.zeros_like(a),
+                         delta=lambda eps: 1.0)
+
 
 def curve_from_epsilon_delta(epsilon: float, delta: float) -> TradeoffCurve:
     """Trade-off curve equivalent to an (epsilon, delta)-DP guarantee.
@@ -204,17 +201,23 @@ def curve_from_epsilon_delta(epsilon: float, delta: float) -> TradeoffCurve:
     if not (0.0 <= delta <= 1.0):
         raise ParameterError(f"delta must lie in [0, 1], got {delta}")
     if math.isinf(epsilon) or delta == 1.0:
-        return TradeoffCurve(kind="zero", provenance="eps_delta(degenerate)",
-                             params=(epsilon, delta), fn=lambda a: np.zeros_like(a))
+        return _zero_curve("eps_delta(degenerate)")
     e_pos, e_neg = _exp(epsilon), math.exp(-epsilon)
 
     def fn(a):
         return np.maximum(0.0, np.maximum(1.0 - delta - _times(e_pos, a),
                                           e_neg * (1.0 - delta - a)))
 
-    return TradeoffCurve(kind="eps_delta", params=(epsilon, delta),
-                         provenance=f"eps_delta(eps={epsilon!r}, delta={delta!r})",
-                         fn=fn)
+    def delta_at(eps):
+        gap = min(0.0, eps - epsilon)
+        # (e_pos - e^eps) / (1 + e_pos) <= -expm1(gap)
+        if gap == 0.0 or e_pos == math.inf:
+            return float(min(1.0, delta - (1.0 - delta) * math.expm1(gap)))
+        d = delta + (e_pos - math.exp(eps)) * ((1.0 - delta) / (1.0 + e_pos))
+        return float(min(1.0, max(delta, d)))
+
+    return TradeoffCurve(provenance=f"eps_delta(eps={epsilon!r}, delta={delta!r})",
+                         fn=fn, delta=delta_at)
 
 
 def _upper_envelope_of_lines(slopes: np.ndarray, intercepts: np.ndarray):
@@ -226,7 +229,9 @@ def _upper_envelope_of_lines(slopes: np.ndarray, intercepts: np.ndarray):
     """
     s, c = lower_convex_hull(slopes, -intercepts)
     c = -c
-    xs = (c[:-1] - c[1:]) / (s[1:] - s[:-1])
+    # a crossing that overflows (slopes a subnormal apart) lies outside [0, 1]
+    with np.errstate(over="ignore"):
+        xs = (c[:-1] - c[1:]) / (s[1:] - s[:-1])
     knots_x = np.unique(np.concatenate([[0.0], xs[(xs > 0.0) & (xs < 1.0)],
                                         [1.0]]))
     values = s[None, :] * knots_x[:, None]
@@ -245,8 +250,7 @@ def curve_from_profile(profile: PrivacyProfile) -> TradeoffCurve:
     dlt = profile.deltas
     finite = np.isfinite(eps) & (dlt < 1.0)
     if not np.any(finite):
-        return TradeoffCurve(kind="zero", provenance="profile(degenerate)",
-                             fn=lambda a: np.zeros_like(a))
+        return _zero_curve("profile(degenerate)")
     e_pos = np.exp(np.minimum(eps[finite], 700.0))
     e_neg = np.exp(-eps[finite])
     one_m_d = 1.0 - dlt[finite]
@@ -255,8 +259,7 @@ def curve_from_profile(profile: PrivacyProfile) -> TradeoffCurve:
     kx, ky = _upper_envelope_of_lines(slopes, intercepts)
     ky = np.clip(ky, 0.0, 1.0)
     kx, ky = lower_convex_hull(kx, ky)
-    return TradeoffCurve(kind="envelope",
-                         provenance=f"profile_envelope({int(finite.sum())} points)",
+    return TradeoffCurve(provenance=f"profile_envelope({int(finite.sum())} points)",
                          knots=np.column_stack([kx, ky]))
 
 
@@ -271,8 +274,19 @@ def gaussian_curve(mu: float) -> TradeoffCurve:
     def fn(a):
         return ndtr(-ndtri(np.asarray(a, dtype=float)) - mu)
 
-    return TradeoffCurve(kind="gaussian", params=(mu,),
-                         provenance=f"gaussian(mu={mu!r})", fn=fn)
+    def delta_at(epsilon):
+        # closed form: the maximizing alpha sits deep in the tail, where
+        # grid search loses all precision
+        if mu == 0.0:
+            return 0.0
+        e_eps, x = _exp(epsilon), -epsilon / mu - mu / 2.0
+        tail = (e_eps * ndtr(x) if e_eps < math.inf
+                else math.exp(epsilon + log_ndtr(x)))
+        d = ndtr(-epsilon / mu + mu / 2.0) - tail
+        return float(min(1.0, max(0.0, d)))
+
+    return TradeoffCurve(provenance=f"gaussian(mu={mu!r})", fn=fn,
+                         delta=delta_at)
 
 
 def laplace_curve(epsilon: float) -> TradeoffCurve:
@@ -293,8 +307,11 @@ def laplace_curve(epsilon: float) -> TradeoffCurve:
         return np.where(a < e_neg / 2.0, 1.0 - _times(e_pos, a),
                         np.where(a <= 0.5, mid, e_neg * (1.0 - a)))
 
-    return TradeoffCurve(kind="laplace", params=(epsilon,),
-                         provenance=f"laplace(eps={epsilon!r})", fn=fn)
+    def delta_at(eps):  # 1 - e^((eps - epsilon) / 2) below epsilon, else 0
+        return max(0.0, -math.expm1(min(0.0, eps - epsilon) / 2.0))
+
+    return TradeoffCurve(provenance=f"laplace(eps={epsilon!r})", fn=fn,
+                         delta=delta_at)
 
 
 def piecewise_curve(alphas, betas, provenance: str = "piecewise") -> TradeoffCurve:
@@ -309,8 +326,7 @@ def piecewise_curve(alphas, betas, provenance: str = "piecewise") -> TradeoffCur
         a = np.concatenate([a, [1.0]])
         b = np.concatenate([b, [0.0]])
         a, b = lower_convex_hull(a, b)
-    return TradeoffCurve(kind="piecewise", provenance=provenance,
-                         knots=np.column_stack([a, b]))
+    return TradeoffCurve(provenance=provenance, knots=np.column_stack([a, b]))
 
 
 # --------------------------------------------------------------------------
@@ -365,11 +381,11 @@ def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
 # --------------------------------------------------------------------------
 # derived quantities
 
-def tv_from_curve(f: TradeoffCurve) -> TvParameter:
+def tv_from_curve(f: TradeoffCurve) -> float:
     """TV privacy level eta = max_alpha (1 - f(alpha) - alpha): the privacy
-    profile at epsilon = 0, so ``delta_for_epsilon(f, 0.0)`` (Dong, Roth &
-    Su, JRSS-B 2022)."""
-    return TvParameter(delta_for_epsilon(f, 0.0))
+    profile at epsilon = 0, so ``delta_for_epsilon(f, 0.0)``; the mechanism
+    is (0, eta)-DP (Dong, Roth & Su, JRSS-B 2022)."""
+    return delta_for_epsilon(f, 0.0)
 
 
 def group_privacy(f: TradeoffCurve, k: int) -> TradeoffCurve:
@@ -388,39 +404,20 @@ def group_privacy(f: TradeoffCurve, k: int) -> TradeoffCurve:
             x = 1.0 - f(x)
         return 1.0 - x
 
-    return TradeoffCurve(kind="group", params=(f.kind, k),
-                         provenance=f"group(k={k}, base={f.provenance})", fn=fn)
+    return TradeoffCurve(provenance=f"group(k={k}, base={f.provenance})", fn=fn)
 
 
 def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
     """Smallest delta at which f dominates the (epsilon, delta) curve.
 
     delta(eps) = max_alpha (1 - f(alpha) - e^eps * alpha), by convex
-    conjugacy. Closed forms for the Gaussian family (the maximizing alpha sits
-    deep in the tail, where grid search loses all precision) and Laplace.
+    conjugacy: the curve's own closed form ``f.delta`` where it has one, else
+    the maximum over its knots or a numeric maximum of the analytic form.
     """
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-    if f.kind == "gaussian":
-        (mu,) = f.params
-        if mu == 0.0:
-            return 0.0
-        e_eps, x = _exp(epsilon), -epsilon / mu - mu / 2.0
-        tail = (e_eps * ndtr(x) if e_eps < math.inf
-                else math.exp(epsilon + log_ndtr(x)))
-        d = ndtr(-epsilon / mu + mu / 2.0) - tail
-        return float(min(1.0, max(0.0, d)))
-    if f.kind == "laplace":  # 1 - e^((eps - eps0) / 2) below eps0, else 0
-        return max(0.0, -math.expm1(min(0.0, epsilon - f.params[0]) / 2.0))
-    if f.kind == "eps_delta":
-        eps0, delta0 = f.params
-        e0, gap = _exp(eps0), min(0.0, epsilon - eps0)
-        if gap == 0.0 or e0 == math.inf:  # (e0 - e^eps) / (1 + e0) <= -expm1(gap)
-            return float(min(1.0, delta0 - (1.0 - delta0) * math.expm1(gap)))
-        d = delta0 + (e0 - math.exp(epsilon)) * ((1.0 - delta0) / (1.0 + e0))
-        return float(min(1.0, max(delta0, d)))
-    if f.kind == "zero":
-        return 1.0
+    if f.delta is not None:
+        return f.delta(epsilon)
     e_eps = math.exp(min(epsilon, 700))
     if f.is_piecewise:
         a, b = f.knots[:, 0], f.knots[:, 1]

@@ -174,15 +174,15 @@ def test_criterion_7_identity_closure():
         f = T.curve_from_epsilon_delta(eps, delta)
         want = (math.exp(eps) - 1 + 2 * delta) / (math.exp(eps) + 1)
         ref, _ = oracles.grid_max(lambda a: 1 - f(a) - a)
-        if abs(T.tv_from_curve(f).eta - want) > 1e-9 or \
-                abs(T.tv_from_curve(f).eta - ref) > 1e-9:
+        if abs(T.tv_from_curve(f) - want) > 1e-9 or \
+                abs(T.tv_from_curve(f) - ref) > 1e-9:
             ok = False
             notes.append(f"tv({eps},{delta})")
     # Bayes identity 1 - 2 R_f(1/2) = eta
     for f in (T.gaussian_curve(1.0), T.laplace_curve(0.5),
               T.curve_from_epsilon_delta(1.0, 1e-3)):
         lhs = 1 - 2 * R.bayes_error(f, 0.5)
-        if abs(lhs - T.tv_from_curve(f).eta) > 1e-6:
+        if abs(lhs - T.tv_from_curve(f)) > 1e-6:
             ok = False
             notes.append("bayes identity")
     # group privacy identity at k = 1

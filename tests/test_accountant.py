@@ -69,7 +69,7 @@ def test_randomized_response_many_compositions():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         f = A.randomized_response_curve(0.45, 4000)
-        eta = T.tv_from_curve(f).eta
+        eta = T.tv_from_curve(f)
     # TV of the pair: P(count > k/2) under each bit, the middle atom tied
     tv = binom.sf(2000, 4000, 0.55) - binom.sf(2000, 4000, 0.45)
     assert abs(eta - tv) <= 1e-12
@@ -103,7 +103,7 @@ def test_pld_of_laplace_delta_at_zero_is_tv():
     eps = 0.2
     pld = A.pld_of_laplace(eps, grid_step=1e-5)
     prof = A.profile_from_pld(pld, [0.0])
-    want = T.tv_from_curve(T.laplace_curve(eps)).eta
+    want = T.tv_from_curve(T.laplace_curve(eps))
     assert prof.deltas[0] == pytest.approx(want, abs=1e-4)
     # pessimistic rounding: the PLD estimate is an upper bound
     assert prof.deltas[0] >= want - 1e-12

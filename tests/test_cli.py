@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from fdprisk import accountant, calibrate, cli, tradeoff
@@ -331,10 +332,35 @@ def test_verify_passes(capsys):
     assert "VERIFICATION PASSED" in out
 
 
-def test_verify_injected_violation_fails(capsys):
-    code, out = run(capsys, "verify", "--pairs", "5", "--inject-violation")
+def test_verify_injected_violation_fails(capsys, monkeypatch):
+    bad = tradeoff.TradeoffCurve(provenance="injected",
+                                 knots=np.array([[0.0, 1.0], [0.5, 0.1],
+                                                 [0.6, 0.4], [1.0, 0.0]]))
+    monkeypatch.setattr(cli.oracle, "exact_tradeoff", lambda pair: bad)
+    code, out = run(capsys, "verify", "--pairs", "5")
     assert code == 4
     assert "VERIFICATION FAILED" in out
+
+
+_EDGE_INPUTS = [
+    ("queries", "--b", "0", "--k-max", "2"),
+    ("queries", "--base", "2"),
+    ("queries", "--delta-std", "0"),
+    ("queries", "--sensitivity", "0"),
+    ("tradeoff", "--gaussian-mu", "1", "--grid-points", "-5"),
+    ("tradeoff", "--laplace-eps", "nan"),
+    ("calibrate", "--family", "gaussian", "--target-adv", "0.1",
+     "--compositions", "0"),
+    ("calibrate", "--family", "gaussian", "--target-adv", "0.1",
+     "--methods", "eps_delta", "--delta", "nan"),
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_INPUTS, ids=" ".join)
+def test_edge_inputs_exit_with_a_code(capsys, argv):
+    # an input the parser accepts ends in a documented exit code, never in
+    # an exception escaping main
+    assert cli.main(list(argv)) in (0, 2, 3, 4)
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch, capsys):

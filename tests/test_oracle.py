@@ -98,7 +98,7 @@ def test_random_pairs_soundness(seed):
     slopes = np.diff(f.knots[:, 1]) / np.diff(f.knots[:, 0])
     assert np.all(np.diff(slopes) >= -1e-9)
     # TV consistency with the curve
-    assert O.exact_tv(pair) == pytest.approx(T.tv_from_curve(f).eta, abs=1e-10)
+    assert O.exact_tv(pair) == pytest.approx(T.tv_from_curve(f), abs=1e-10)
     # attack success never beats the success bound
     pi = float(rng.uniform(0.05, 0.95))
     succ = O.optimal_attack_success(np.vstack([p, q]), np.array([pi, 1 - pi]))

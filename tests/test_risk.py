@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fdprisk import cli
 from fdprisk import risk as R
 from fdprisk import tradeoff as T
 
@@ -35,7 +36,7 @@ def test_baseline_values():
                  * (1 - mpmath.mpf(1) / 5000) ** 4999)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.3679, abs=5e-4)
-    assert R.baseline_value(R.BaselineSpec.spso_weight(1e-4)) == 1e-4
+    assert R.baseline_value(cli.parse_baseline("spso:1e-4")[1]) == 1e-4
     assert R.baseline_value(R.BaselineSpec.bernoulli(0.5)) == 0.5
     assert R.baseline_value(R.BaselineSpec.bernoulli(0.3)) == 0.7
     assert R.baseline_value(R.BaselineSpec.fixed(0.25)) == 0.25
@@ -90,7 +91,7 @@ def test_worst_case_equals_max_over_bases():
         grid = np.linspace(0.0, 1.0, 10_001)
         max_adv = float(np.max(1.0 - f(grid) - grid))
         assert eta == pytest.approx(max(0.0, max_adv), abs=1e-4)
-        assert eta == pytest.approx(T.tv_from_curve(f).eta, abs=1e-12)
+        assert eta == pytest.approx(T.tv_from_curve(f), abs=1e-12)
 
 
 def test_census_worst_case_numbers():
@@ -105,7 +106,7 @@ def test_census_worst_case_numbers():
 def test_bayes_error_examples():
     assert R.bayes_error(IDENT, 0.3) == pytest.approx(0.3)
     for f in CATALOG:
-        eta = T.tv_from_curve(f).eta
+        eta = T.tv_from_curve(f)
         assert R.bayes_error(f, 0.5) == pytest.approx((1 - eta) / 2, abs=1e-6)
 
 

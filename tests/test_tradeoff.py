@@ -180,7 +180,7 @@ def test_tv_closed_forms_against_grid_max():
         for delta in (0.0, 1e-5, 1e-2):
             f = T.curve_from_epsilon_delta(eps, delta)
             want = (math.exp(eps) - 1 + 2 * delta) / (math.exp(eps) + 1)
-            got = T.tv_from_curve(f).eta
+            got = T.tv_from_curve(f)
             assert got == pytest.approx(want, abs=1e-9)
             ref, _ = oracles.grid_max(lambda a: 1.0 - f(a) - a)
             assert got == pytest.approx(ref, abs=1e-9)
@@ -191,23 +191,23 @@ def test_tv_gaussian_and_laplace():
     for mu in (0.5, 1.0, 2.0):
         f = T.gaussian_curve(mu)
         # bit-identical with the scipy.stats form it replaced
-        assert T.tv_from_curve(f).eta == 2 * norm.cdf(mu / 2) - 1
+        assert T.tv_from_curve(f) == 2 * norm.cdf(mu / 2) - 1
         ref, _ = oracles.grid_max(lambda a: 1.0 - f(a) - a)
-        assert T.tv_from_curve(f).eta == pytest.approx(ref, abs=1e-9)
+        assert T.tv_from_curve(f) == pytest.approx(ref, abs=1e-9)
     for eps in (0.2, 1.0):
         f = T.laplace_curve(eps)
-        assert T.tv_from_curve(f).eta == pytest.approx(
+        assert T.tv_from_curve(f) == pytest.approx(
             1 - math.exp(-eps / 2), abs=1e-12)
         ref, _ = oracles.grid_max(lambda a: 1.0 - f(a) - a)
-        assert T.tv_from_curve(f).eta == pytest.approx(ref, abs=1e-9)
+        assert T.tv_from_curve(f) == pytest.approx(ref, abs=1e-9)
 
 
 def test_tv_generic_path_matches_closed_form():
     # force the generic maximizer by wrapping the analytic function
     g = T.gaussian_curve(1.0)
-    generic = T.TradeoffCurve(kind="custom", provenance="wrapped", fn=g.fn)
+    generic = T.TradeoffCurve(provenance="wrapped", fn=g.fn)
     from scipy.stats import norm
-    assert T.tv_from_curve(generic).eta == pytest.approx(
+    assert T.tv_from_curve(generic) == pytest.approx(
         2 * norm.cdf(0.5) - 1, abs=1e-9)
 
 
@@ -222,17 +222,37 @@ _ETA_CURVES = [
 ]
 
 
+# the closed form rounds below the exact delta (1.5e-16 under mpmath's)
+# where ndtr(-eps/mu + mu/2) - e^eps ndtr(-eps/mu - mu/2) cancels
+_CLOSED_FORM_MISSES = {("gaussian(mu=0.5)", 0.5)}
+
+
+@pytest.mark.parametrize("f, eps", [
+    pytest.param(f, eps, id=f"{f.provenance}-{eps}", marks=[
+        pytest.mark.xfail(strict=True, reason="closed form 2.5e-16 below")]
+        if (f.provenance, eps) in _CLOSED_FORM_MISSES else [])
+    for f in _ETA_CURVES if f.delta is not None for eps in (0.0, 0.5, 2.0)])
+def test_closed_form_delta_is_the_conjugate_of_fn(f, eps):
+    # the numeric maximum over the curve's own fn is a value the curve
+    # attains, so a closed form may not fall below it
+    closed = T.delta_for_epsilon(f, eps)
+    numeric = T.delta_for_epsilon(
+        T.TradeoffCurve(provenance="wrapped", fn=f.fn), eps)
+    assert closed >= numeric - 2e-16
+    assert abs(closed - numeric) <= 1e-9
+
+
 @pytest.mark.parametrize("f", _ETA_CURVES, ids=lambda f: f.provenance)
 def test_tv_is_delta_at_zero(f):
     # eta = max (1 - f(a) - a) is the privacy profile at eps = 0
-    assert T.tv_from_curve(f).eta == T.delta_for_epsilon(f, 0.0)
+    assert T.tv_from_curve(f) == T.delta_for_epsilon(f, 0.0)
 
 
 def test_tv_laplace_small_epsilon_high_precision():
     # 1 - e^(-eps/2) through expm1: no cancellation as eps -> 0
     for eps in (1e-8, 1e-6, 1e-3):
         want = -mpmath.expm1(-mpmath.mpf(eps) / 2)
-        got = T.tv_from_curve(T.laplace_curve(eps)).eta
+        got = T.tv_from_curve(T.laplace_curve(eps))
         assert abs(got - want) <= 1e-14 * want
 
 
@@ -370,7 +390,7 @@ def test_large_epsilon_curves_without_overflow():
             f = T.curve_from_epsilon_delta(eps, 0.1)
             v = f(a)
             assert v[0] == 0.9 and np.all(v[1:] <= 1e-300)
-            assert T.tv_from_curve(f).eta == 1.0
+            assert T.tv_from_curve(f) == 1.0
             # delta0 + 0.9 (e^eps0 - e^eps) / (1 + e^eps0): 1 far below eps0,
             # 0.1 + 0.9 (1 - 1/e) one below it, delta0 from eps0 on
             d = [T.delta_for_epsilon(f, x) for x in (10.0, eps - 1.0, eps, 2 * eps)]
@@ -516,8 +536,8 @@ def test_lower_convex_hull_bits_match_loop(points):
 
 def test_piecewise_knot_validation():
     with pytest.raises(T.ParameterError):
-        T.TradeoffCurve(kind="piecewise", provenance="bad",
+        T.TradeoffCurve(provenance="bad",
                         knots=np.array([[0.0, 1.0]]))
     with pytest.raises(T.ParameterError):
-        T.TradeoffCurve(kind="piecewise", provenance="bad",
+        T.TradeoffCurve(provenance="bad",
                         knots=np.array([[0.5, 0.5], [0.5, 0.4]]))
