@@ -197,29 +197,49 @@ def profile_from_pld(pld: PldGrid, epsilons) -> PrivacyProfile:
     return PrivacyProfile.from_points(eps, deltas)
 
 
+def rr_pair(k: int, log_keep: float, log_flip: float):
+    """The law of the count of 1s among k randomized responses,
+    Binomial(k, keep), and the privacy profile eps -> delta(eps) of its pair.
+
+    The pmf is built in log space and divided by its sum, which cancels the
+    round-off of log k! common to every atom. delta is the hockey-stick
+    divergence, the sum over j with loss (2j - k) eps0 > eps of
+    pmf_j (1 - e^(eps - loss)), eps0 = log_keep - log_flip. Only the largest
+    atoms enter it, so the underflow of the others does not matter. It is
+    also the optimal composition of k eps0-DP mechanisms (Kairouz, Oh &
+    Viswanath, ICML 2015).
+    """
+    j = np.arange(k + 1)
+    log_pmf = (gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
+               + j * log_keep + (k - j) * log_flip)
+    pmf = np.exp(log_pmf)
+    pmf /= pmf.sum()
+    loss = (2 * j - k) * (log_keep - log_flip)
+
+    def delta_at(eps):
+        top = loss > eps
+        return float(min(1.0, (pmf[top] * -np.expm1(eps - loss[top])).sum()))
+
+    return pmf, delta_at
+
+
 def randomized_response_curve(p: float, k: int = 1) -> TradeoffCurve:
     """Exact trade-off of k-fold randomized response with flip prob p.
 
     The number of 1s among the k answers is sufficient: it is
     Binomial(k, 1 - p) when the true bit is 1 and Binomial(k, p) when it is
-    0, so the curve is the Neyman-Pearson curve of that pair. The pmf is
-    built in log space and renormalized, which cancels the round-off of
-    log k! common to every atom. At k = 1 the vertex is (p, p) up to
-    round-off. k-fold RR is also the optimal composition of k eps0-DP
-    mechanisms, eps0 = log((1-p)/p) (Kairouz, Oh & Viswanath, ICML 2015).
+    0, so the curve is the Neyman-Pearson curve of that pair (``rr_pair``),
+    and carries that pair's delta(eps). At k = 1 the vertex is (p, p) up to
+    round-off.
     """
     if not 0 < p < 0.5:
         raise ParameterError("flip probability must lie in (0, 0.5)")
     if not (isinstance(k, int) and k >= 1):
         raise ParameterError("k must be an integer >= 1")
-    j = np.arange(k + 1)
-    log_pmf = (gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
-               + j * math.log1p(-p) + (k - j) * math.log(p))
-    pmf = np.exp(log_pmf)
-    pmf /= pmf.sum()
+    pmf, delta = rr_pair(k, math.log1p(-p), math.log(p))
     curve = exact_tradeoff(DiscretePair(p=pmf, q=pmf[::-1]))
     return dataclasses.replace(
-        curve, provenance=f"randomized_response(p={p!r}, k={k})")
+        curve, provenance=f"randomized_response(p={p!r}, k={k})", delta=delta)
 
 
 def curve_of(spec: MechanismSpec, grid_step: float = 1e-4) -> TradeoffCurve:

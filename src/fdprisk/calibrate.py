@@ -2,9 +2,11 @@
 
 Given a mechanism family, a baseline, and a target advantage (or success),
 find the smallest noise scale whose bound meets the target, under any of the
-supported accounting methods. Risk is monotone non-increasing in the noise
-scale for every supported (family, method) pair, so robust bisection on the
-log scale suffices.
+supported accounting methods, by bisection on the log noise scale. The
+bisection assumes risk is non-increasing in the noise scale. Composed
+Laplace breaks that by a little: its discretized loss grid makes the risk a
+sawtooth in the noise scale. The answer still meets the target, but it need
+not be the smallest noise scale that does.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from . import accountant, prior_bounds, risk
 from .accountant import MechanismSpec
 from .risk import BaselineSpec
 from .tradeoff import (ParameterError, TradeoffCurve, _bisect, _concave_max,
-                       curve_from_epsilon_delta, delta_for_epsilon)
+                       _epsilon_at_delta, curve_from_epsilon_delta,
+                       delta_for_epsilon)
 
 METHODS = ("fdp", "rdp", "zcdp", "eps_delta")
 _RDP_EPSILON = {"gaussian": prior_bounds.gaussian_rdp_epsilon,
@@ -28,10 +31,6 @@ _RDP_EPSILON = {"gaussian": prior_bounds.gaussian_rdp_epsilon,
 
 class InfeasibleTargetError(RuntimeError):
     """The target risk cannot be met within the expanded noise bracket."""
-
-
-class ConsistencyError(RuntimeError):
-    """Risk failed to decrease with noise; calibration assumptions violated."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,8 +112,6 @@ def method_bound(spec: MechanismSpec, method: str,
         return PriorBound(success, lambda: max(
             0.0, _concave_max(lambda b: success(b) - b)))
     if method == "rdp":
-        if rdp_order is not None and not rdp_order > 1:
-            raise ParameterError("rdp_order must be > 1")
         # mu for the Gaussian, eps for Laplace
         scale = spec.sensitivity / spec.noise_scale
         rdp_epsilon = _RDP_EPSILON.get(spec.family)
@@ -129,7 +126,9 @@ def method_bound(spec: MechanismSpec, method: str,
             lambda: prior_bounds.srr_worst_case_rdp(eps, grid))
     if method == "eps_delta":
         # the single-pair curve at the smallest eps at the configured delta
-        eps = _epsilon_at_delta(accountant.curve_of(spec), eps_delta_delta)
+        f = accountant.curve_of(spec)
+        eps = _epsilon_at_delta(lambda e: delta_for_epsilon(f, e),
+                                eps_delta_delta)
         return _eps_delta_bound(eps, eps_delta_delta)
     raise ParameterError(f"unknown method {method!r}")
 
@@ -162,19 +161,6 @@ def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
     return base, succ, max(0.0, succ - base)
 
 
-def _epsilon_at_delta(f: TradeoffCurve, delta: float) -> float:
-    """Smallest eps such that the curve f satisfies (eps, delta)-DP."""
-    if delta_for_epsilon(f, 0.0) <= delta:
-        return 0.0
-    hi = 1.0
-    while delta_for_epsilon(f, hi) > delta:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ParameterError("cannot find finite epsilon at this delta")
-    return _bisect(lambda e: delta_for_epsilon(f, e) <= delta, 0.0, hi,
-                   steps=100)
-
-
 def risk_at(req: CalibrationRequest, noise_scale: float) -> float:
     """The requested risk bound (advantage or success) at one noise scale."""
     if not noise_scale > 0:
@@ -196,9 +182,10 @@ def risk_at(req: CalibrationRequest, noise_scale: float) -> float:
 def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
     """Minimal noise scale whose risk bound meets the target.
 
-    Bisection on log noise scale; the bracket auto-expands up to 2^16 in each
-    direction before the target is declared infeasible. A target already met
-    at the bracket's low end returns it with a trivial-target flag.
+    Bisection on log noise scale, to ``req.tolerance``; the bracket's high
+    end doubles, at most 16 times, before the target is declared
+    infeasible. A target already met at the bracket's low end returns it
+    with a trivial-target flag.
     """
     if req.family == "randomized_response":
         raise ParameterError("randomized_response cannot be calibrated: its "
@@ -206,36 +193,26 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
                              "scale")
     lo, hi = float(req.bracket[0]), float(req.bracket[1])
     risk_lo = risk_at(req, lo)
-    risk_hi = risk_at(req, hi)
-
     if risk_lo <= req.target_value:
         return CalibrationResult(noise_scale=lo, status="trivial",
                                  achieved_risk=risk_lo)
-    expansions = 0
-    while risk_hi > req.target_value:
-        expansions += 1
-        if 2.0 ** expansions > 2 ** 16:
-            raise InfeasibleTargetError(
-                f"target {req.target_kind}={req.target_value} unreachable: "
-                f"risk at noise_scale={hi} is still {risk_hi:.6g}")
+    risk_hi = risk_at(req, hi)
+    while risk_hi > req.target_value and hi < req.bracket[1] * 2.0 ** 16:
         hi *= 2.0
         risk_hi = risk_at(req, hi)
-    if risk_hi > risk_lo + 1e-9:
-        raise ConsistencyError("risk increased with noise scale")
+    if risk_hi > req.target_value:
+        raise InfeasibleTargetError(
+            f"target {req.target_kind}={req.target_value} unreachable: "
+            f"risk at noise_scale={hi} is still {risk_hi:.6g}")
 
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    achieved = None  # the risk at exp(log_hi), once a midpoint sets it
-    while log_hi - log_lo > req.tolerance:
-        mid = 0.5 * (log_lo + log_hi)
-        risk_mid = risk_at(req, math.exp(mid))
-        if risk_mid <= req.target_value:
-            log_hi, achieved = mid, risk_mid
-        else:
-            log_lo = mid
-    sigma = math.exp(log_hi)
-    if achieved is None:  # exp(log(hi)) need not round back to hi
-        achieved = risk_at(req, sigma)
-    if achieved > req.target_value + 1e-12:
-        raise ConsistencyError("bisection landed above the target")
+    seen = {math.log(hi): (hi, risk_hi)}  # log sigma -> (sigma, risk)
+
+    def ok(log_sigma):
+        sigma = math.exp(log_sigma)
+        seen[log_sigma] = sigma, risk_at(req, sigma)
+        return seen[log_sigma][1] <= req.target_value
+
+    sigma, achieved = seen[_bisect(ok, math.log(lo), math.log(hi),
+                                   req.tolerance)]
     return CalibrationResult(noise_scale=sigma, status="ok",
                              achieved_risk=achieved)

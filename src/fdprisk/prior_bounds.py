@@ -14,8 +14,9 @@ import warnings
 
 import numpy as np
 
-from .tradeoff import (ParameterError, TradeoffCurve, _bisect, _exp, _times,
-                       lower_convex_hull)
+from .accountant import rr_pair
+from .tradeoff import (ParameterError, TradeoffCurve, _epsilon_at_delta, _exp,
+                       _times, lower_convex_hull)
 
 
 def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float:
@@ -160,36 +161,18 @@ def laplace_rdp_epsilon(t, epsilon: float, k: int = 1):
 def optimal_composition_pure(epsilon: float, k: int, delta_target: float) -> tuple:
     """Smallest eps_g with (eps_g, delta_target)-DP after k-fold epsilon-DP.
 
-    Uses the exact homogeneous pure-DP optimal-composition delta
-        delta(eps_g) = sum over l with (2l - k) eps > eps_g of
-            C(k, l) (e^(l eps) - e^(eps_g) e^((k-l) eps)) / (1 + e^eps)^k,
-    evaluated in log space with exact binomial coefficients, then bisected on
-    eps_g in [0, k*epsilon]. Returns (eps_g, delta_target).
+    Optimal composition of k epsilon-DP mechanisms is k-fold randomized
+    response at keep odds e^epsilon (Kairouz, Oh & Viswanath, ICML 2015), so
+    eps_g inverts that pair's delta(eps), from ``accountant.rr_pair``.
+    Returns (eps_g, delta_target).
     """
     if not epsilon > 0:
         raise ParameterError("epsilon must be > 0")
-    if not (isinstance(k, int) and 1 <= k <= 64):
-        raise ParameterError("k must be an integer in [1, 64]")
+    if not (isinstance(k, int) and k >= 1):
+        raise ParameterError("k must be an integer >= 1")
     if not 0.0 < delta_target < 1.0:
         raise ParameterError("delta_target must lie in (0, 1)")
-
-    log_norm = k * math.log1p(math.exp(-epsilon)) + k * epsilon  # log (1+e^eps)^k
-
-    def delta_of(eps_g: float) -> float:
-        total = 0.0
-        for ell in range(k + 1):
-            if (2 * ell - k) * epsilon <= eps_g:
-                continue
-            log_c = math.log(math.comb(k, ell))
-            a = ell * epsilon
-            b = eps_g + (k - ell) * epsilon
-            # a > b holds by the loop condition, so the difference is positive
-            log_term = log_c + a + math.log1p(-math.exp(b - a)) - log_norm
-            total += math.exp(log_term)
-        return min(1.0, total)
-
-    if delta_of(0.0) <= delta_target:
-        return 0.0, delta_target
-    eps_g = _bisect(lambda e: delta_of(e) <= delta_target, 0.0, k * epsilon,
-                    steps=200)
+    log_keep = -math.log1p(math.exp(-epsilon))  # log e^eps / (1 + e^eps)
+    _, delta_of = rr_pair(k, log_keep, log_keep - epsilon)
+    eps_g = _epsilon_at_delta(delta_of, delta_target)
     return float(eps_g), float(delta_target)

@@ -363,11 +363,12 @@ def _concave_max(g: Callable[[np.ndarray], np.ndarray]) -> float:
 
 
 def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
-            steps: int) -> float:
+            tol: float = 0.0) -> float:
     """Smallest point found in (lo, hi] where the monotone ``ok`` holds,
-    given ok(lo) false and ok(hi) true: at most ``steps`` halvings, stopping
-    once the midpoint rounds to an end point and so can no longer move."""
-    for _ in range(steps):
+    given ok(lo) false and ok(hi) true: halvings until the bracket is at
+    most ``tol`` wide, or until the midpoint rounds to an end point and so
+    can no longer move. The one root finder of the package."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -427,6 +428,20 @@ def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
     return float(min(1.0, max(0.0, d)))
 
 
+def _epsilon_at_delta(delta_of: Callable[[float], float],
+                      delta: float) -> float:
+    """Smallest eps at which the privacy profile ``delta_of`` is at most
+    delta: the bracket doubles from 1 up to 1e6, then bisects."""
+    if delta_of(0.0) <= delta:
+        return 0.0
+    hi = 1.0
+    while delta_of(hi) > delta:
+        hi *= 2.0
+        if hi > 1e6:
+            raise ParameterError("cannot find finite epsilon at this delta")
+    return _bisect(lambda e: delta_of(e) <= delta, 0.0, hi)
+
+
 def gaussian_mu_at(epsilon: float, delta: float) -> float:
     """The largest mu in [1e-4, 80] whose Gaussian curve has delta(epsilon)
     at most delta: the least private Gaussian that is (epsilon, delta)-DP."""
@@ -436,7 +451,7 @@ def gaussian_mu_at(epsilon: float, delta: float) -> float:
     if not ok(-1e-4) or ok(-80.0):
         raise ParameterError(f"no mu in [1e-4, 80] has delta({epsilon!r}) "
                              f"= {delta!r}")
-    return -_bisect(ok, -80.0, -1e-4, steps=200)
+    return -_bisect(ok, -80.0, -1e-4)
 
 
 def profile_from_curve(f: TradeoffCurve, epsilons: Sequence[float]) -> PrivacyProfile:

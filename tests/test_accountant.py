@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,6 +75,23 @@ def test_randomized_response_many_compositions():
     tv = binom.sf(2000, 4000, 0.55) - binom.sf(2000, 4000, 0.45)
     assert abs(eta - tv) <= 1e-12
     assert eta < 1.0
+
+
+@pytest.mark.parametrize("k", (1, 18, 64, 4000))
+@pytest.mark.parametrize("p", (0.05, 0.3, 0.45))
+def test_randomized_response_delta_against_direct_summation(p, k):
+    # the curve's own delta(eps) is the optimal-composition delta at
+    # eps0 = log((1-p)/p); its log masses carry a few ulps of their
+    # magnitude, log k! + k eps0, as relative error
+    f = A.randomized_response_curve(p, k)
+    eps0 = math.log1p(-p) - math.log(p)
+    tol = 1e-15 * (1.0 + math.lgamma(k + 1) + k * eps0)
+    for frac in (0.0, 0.3, 0.9):
+        eps = frac * k * eps0
+        with mpmath.workdps(40):
+            want = oracles.kov_delta_direct(eps0, k, eps)
+        assert abs(T.delta_for_epsilon(f, eps) - want) <= tol * want, eps
+    assert T.delta_for_epsilon(f, k * eps0) == 0.0  # no loss above k eps0
 
 
 def test_composition_monotonicity():

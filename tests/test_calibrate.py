@@ -151,6 +151,25 @@ def test_calibration_evaluates_each_noise_scale_once(monkeypatch):
         assert res.achieved_risk == risk_at(_req(**kw), res.noise_scale)
 
 
+def test_bracket_narrower_than_tolerance_returns_hi():
+    # no midpoint is taken, so the answer is hi itself and the risk there,
+    # not exp(log(hi)), which rounds to another float
+    hi = 3.3663275929465444
+    assert math.exp(math.log(hi)) != hi
+    target = C.risk_at(_req(), hi)
+    res = C.calibrate_noise(_req(target_value=target, bracket=(3.3663, hi),
+                                 tolerance=1e-4))
+    assert res.status == "ok"
+    assert res.noise_scale == hi
+    assert res.achieved_risk == target
+
+
+def test_method_bound_rejects_rdp_order_at_most_one():
+    spec = A.MechanismSpec(family="gaussian", noise_scale=1.0)
+    with pytest.raises(T.ParameterError):
+        C.method_bound(spec, "rdp", 0.5)
+
+
 # ------------------------------------------- worst case: exact maxima
 
 WORST = R.BaselineSpec.worst_case()

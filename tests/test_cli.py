@@ -363,6 +363,23 @@ def test_edge_inputs_exit_with_a_code(capsys, argv):
     assert cli.main(list(argv)) in (0, 2, 3, 4)
 
 
+def test_bound_randomized_response_many_compositions(tmp_path, capsys):
+    # at p = 0.3, k = 4000 the eps_delta rows read eps off the curve's own
+    # delta(eps); the knots alone give delta = 1 at every eps
+    scn = tmp_path / "rr.cfg"
+    scn.write_text(GAUSS_SCENARIO.replace("family = gaussian",
+                                          "family = randomized_response")
+                   .replace("noise_scale = 1.0", "noise_scale = 0.3")
+                   .replace("compositions = 1", "compositions = 4000")
+                   .replace("fdp, zcdp, rdp-t2", "fdp, eps_delta"))
+    code, out = run(capsys, "bound", "--scenario", str(scn))
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["fdp", "eps_delta"] * 2
+    assert "error:" not in out
+    assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     code, _ = run(capsys, "tradeoff", "--epsilon", "1", "--output", "out.csv")

@@ -201,8 +201,9 @@ def test_kov_basic_composition_dominance():
     assert eps_g <= 1.0 + 1e-12
 
 
-def test_kov_against_direct_summation():
-    eps0, k, target = 0.2, 15, 1e-9
+@pytest.mark.parametrize("k", (15, 100, 4000))
+def test_kov_against_direct_summation(k):
+    eps0, target = 0.2, 1e-9
     eps_g, _ = P.optimal_composition_pure(eps0, k, target)
     assert eps_g <= k * eps0
     # the returned eps_g sits exactly at the delta = target level set
@@ -221,6 +222,6 @@ def test_kov_validation():
     with pytest.raises(T.ParameterError):
         P.optimal_composition_pure(0.2, 5, 0.0)
     with pytest.raises(T.ParameterError):
-        P.optimal_composition_pure(0.2, 100, 1e-9)
+        P.optimal_composition_pure(0.2, 0, 1e-9)
     with pytest.raises(T.ParameterError):
         P.optimal_composition_pure(-0.2, 5, 1e-9)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fdprisk import accountant as A
 from fdprisk import tradeoff as T
 
 GRID = T.default_alpha_grid()
@@ -219,6 +220,7 @@ _ETA_CURVES = [
     T.curve_from_epsilon_delta(math.inf, 0.0),
     T.piecewise_curve([0.0, 0.2, 1.0], [1.0, 0.3, 0.0]),
     T.group_privacy(T.gaussian_curve(0.5), 3),
+    A.randomized_response_curve(0.3, 18),
 ]
 
 
@@ -233,11 +235,12 @@ _CLOSED_FORM_MISSES = {("gaussian(mu=0.5)", 0.5)}
         if (f.provenance, eps) in _CLOSED_FORM_MISSES else [])
     for f in _ETA_CURVES if f.delta is not None for eps in (0.0, 0.5, 2.0)])
 def test_closed_form_delta_is_the_conjugate_of_fn(f, eps):
-    # the numeric maximum over the curve's own fn is a value the curve
-    # attains, so a closed form may not fall below it
+    # the numeric maximum over the curve's own fn, or the maximum over its
+    # own knots, is a value the curve attains, so a closed form may not
+    # fall below it
     closed = T.delta_for_epsilon(f, eps)
     numeric = T.delta_for_epsilon(
-        T.TradeoffCurve(provenance="wrapped", fn=f.fn), eps)
+        T.TradeoffCurve(provenance="wrapped", fn=f.fn, knots=f.knots), eps)
     assert closed >= numeric - 2e-16
     assert abs(closed - numeric) <= 1e-9
 
@@ -291,6 +294,33 @@ def test_concave_max_ties_and_peaks():
     # an interior peak off the grid, and a peak at an end
     assert T._concave_max(lambda x: -(x - 0.3) ** 2) == 0.0
     assert T._concave_max(lambda x: x) == 1.0
+
+
+# ------------------------------------------------------------ root finder
+
+@given(ends=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2,
+                     unique=True),
+       frac=st.floats(0.0, 1.0), tol=st.sampled_from([0.0, 1e-4]))
+@settings(max_examples=300, deadline=None)
+def test_bisect_on_threshold_predicates(ends, frac, tol):
+    # ok(x) = x >= t, with ok(lo) false and ok(hi) true: the answer meets
+    # the threshold and lies within tol of it, and at tol 0 it is t itself
+    lo, hi = sorted(ends)
+    t = min(hi, max(math.nextafter(lo, math.inf), lo + frac * (hi - lo)))
+    calls = []
+
+    def ok(x):
+        calls.append(x)
+        return x >= t
+
+    got = T._bisect(ok, lo, hi, tol)
+    assert t <= got <= hi
+    assert all(lo < x < hi for x in calls)
+    if tol:
+        assert got - t <= tol
+        assert len(calls) <= max(0, math.ceil(math.log2((hi - lo) / tol)))
+    else:
+        assert got == t
 
 
 # ----------------------------------------------------------- group privacy
