@@ -13,8 +13,9 @@ between a side's traced runs at one seed (they run a fixed op list). Every
 run lasts the ``run_seconds`` of the parent's BENCHMARK.json. Raw result
 lines are appended to ``<out>.jsonl`` as they arrive; the BENCH file holds,
 per workload, side and metric, the median and quartiles, the change's wins
-over the parent pair by pair, whether each side's runs were all correct and
-how many ops each side failed, and each side's git SHA and versions.
+over the parent pair by pair, each side's timed op count per run, whether
+each side's runs were all correct and how many ops each side failed, and
+each side's git SHA and versions.
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ def summarize(rows: list[dict], better: dict) -> dict:
         mine = [r for r in rows if r["workload"] == wl]
         timed = {side: [r for r in mine if r["side"] == side and not r["trace"]]
                  for side in ("parent", "change")}
-        entry: dict = {"pairs": len(timed["change"]), "end_to_end": {}}
+        entry: dict = {"pairs": len(timed["change"]), "end_to_end": {},
+                       # ops per timed run: a run of one round more or
+                       # fewer moves op_tail_s and peak_rss_mb
+                       "timed_ops": {s: [r["notes"]["timed_ops"]
+                                         for r in timed[s]] for s in timed}}
         for name in timed["parent"][0]["metrics"]:
             vals = {s: [r["metrics"][name]["value"] for r in timed[s]]
                     for s in timed}

@@ -186,13 +186,15 @@ def profile_from_pld(pld: PldGrid, epsilons) -> PrivacyProfile:
     masses = pld.masses
     # suffix sums over losses strictly greater than eps
     suffix_m = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
-    with np.errstate(under="ignore"):
-        m_expneg = masses * np.exp(-losses)
+    with np.errstate(under="ignore"):  # cells of loss <= 0 are never read
+        m_expneg = masses * np.exp(-np.maximum(losses, 0.0))
     suffix_me = np.concatenate([np.cumsum(m_expneg[::-1])[::-1], [0.0]])
     idx = np.searchsorted(losses, eps, side="right")
-    with np.errstate(over="ignore", under="ignore"):
-        deltas = suffix_m[idx] - np.exp(eps) * suffix_me[idx]
-    deltas = deltas + pld.truncation_mass
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sub = np.exp(eps) * suffix_me[idx]
+    # not finite: drop the subtracted term, as delta <= the suffix mass
+    deltas = suffix_m[idx] - np.nan_to_num(sub, nan=0.0, posinf=0.0) \
+        + pld.truncation_mass
     deltas = np.clip(deltas, 0.0, 1.0)
     return PrivacyProfile.from_points(eps, deltas)
 

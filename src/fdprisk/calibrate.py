@@ -20,7 +20,7 @@ import numpy as np
 from . import accountant, prior_bounds, risk
 from .accountant import MechanismSpec
 from .risk import BaselineSpec
-from .tradeoff import (ParameterError, TradeoffCurve, _bisect, _concave_max,
+from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
                        _epsilon_at_delta, curve_from_epsilon_delta,
                        delta_for_epsilon)
 
@@ -77,13 +77,13 @@ class CalibrationResult:
 # risk evaluation per method
 
 class PriorBound:
-    """A prior method's success bound over base arrays and its largest
+    """A prior method's success bound at one baseline and its largest
     advantage over all baselines, computed only when asked.
     A plain slotted class: ``risk_at`` builds one per noise scale."""
 
     __slots__ = ("success", "worst_case")
 
-    def __init__(self, success: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, success: Callable[[float], float],
                  worst_case: Callable[[], float]):
         self.success, self.worst_case = success, worst_case
 
@@ -105,12 +105,10 @@ def method_bound(spec: MechanismSpec, method: str,
         if spec.family != "gaussian":
             raise ParameterError("zCDP accounting requires the Gaussian family")
         rho = (spec.sensitivity / spec.noise_scale) ** 2 * k / 2.0
-
-        def success(bases):
-            return prior_bounds.srr_bound_zcdp(bases, rho)
-        # its orders are a continuum, with no hull: a numeric maximum
-        return PriorBound(success, lambda: max(
-            0.0, _concave_max(lambda b: success(b) - b)))
+        root_rho = math.sqrt(rho)
+        return PriorBound(
+            lambda base: prior_bounds._zcdp_success(base, root_rho),
+            lambda: prior_bounds._zcdp_worst_case(root_rho))
     if method == "rdp":
         # mu for the Gaussian, eps for Laplace
         scale = spec.sensitivity / spec.noise_scale
@@ -120,9 +118,11 @@ def method_bound(spec: MechanismSpec, method: str,
                 f"RDP accounting not supported for family {spec.family!r}")
         grid = (prior_bounds.default_t_grid() if rdp_order is None
                 else np.array([rdp_order]))
+        frac = (prior_bounds._DEFAULT_T_FRAC if rdp_order is None
+                else (grid - 1.0) / grid)
         eps = rdp_epsilon(grid, scale, k)  # once per spec, not per call
         return PriorBound(
-            lambda bases: prior_bounds.srr_bound_rdp_curve(bases, eps, grid),
+            lambda base: prior_bounds._rdp_success(base, eps, frac),
             lambda: prior_bounds.srr_worst_case_rdp(eps, grid))
     if method == "eps_delta":
         # the single-pair curve at the smallest eps at the configured delta
@@ -137,7 +137,7 @@ def _eps_delta_bound(epsilon: float, delta: float) -> PriorBound:
     """Success 1 - f(base), clamped to [base, 1], of the (epsilon, delta)
     curve f; its worst case is the curve's eta, a closed form."""
     f = curve_from_epsilon_delta(epsilon, delta)
-    return PriorBound(lambda bases: (1.0 - f(bases)).clip(bases, 1.0),
+    return PriorBound(lambda base: min(max(1.0 - f(base), base), 1.0),
                       lambda: risk.adv_bound_worst_case(f))
 
 
@@ -153,7 +153,7 @@ def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
         return 0.0, 1.0, bound.worst_case()
     base = risk.baseline_value(baseline)
     if not isinstance(bound, TradeoffCurve):
-        succ = float(bound.success(np.array([base]))[0])
+        succ = bound.success(base)
     elif baseline.kind == "bernoulli":
         succ = risk.bernoulli_succ_bound(bound, baseline.pi)
     else:
@@ -163,8 +163,6 @@ def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
 
 def risk_at(req: CalibrationRequest, noise_scale: float) -> float:
     """The requested risk bound (advantage or success) at one noise scale."""
-    if not noise_scale > 0:
-        raise ParameterError("noise_scale must be > 0")
     if req.baseline.kind == "worst_case" and req.target_kind == "success":
         raise ParameterError(
             "worst-case baseline admits no success target; use advantage")

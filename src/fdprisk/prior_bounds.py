@@ -15,8 +15,8 @@ import warnings
 import numpy as np
 
 from .accountant import rr_pair
-from .tradeoff import (ParameterError, TradeoffCurve, _epsilon_at_delta, _exp,
-                       _times, lower_convex_hull)
+from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
+                       _epsilon_at_delta, _exp, _times, lower_convex_hull)
 
 
 def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float:
@@ -57,11 +57,34 @@ def srr_bound_zcdp(base, rho: float):
     if b.ndim == 0 and b == 0.0:
         warnings.warn("zCDP reconstruction bound at base=0 returns the limit 0",
                       stacklevel=2)
-    root_log = np.sqrt(-np.log(np.maximum(b, 1e-300)))
-    vals = np.where(root_log >= math.sqrt(rho),
-                    np.exp(-(root_log - math.sqrt(rho)) ** 2), 1.0)
-    out = np.where(b == 0.0, 0.0, np.clip(vals, b, 1.0))
+    out = np.vectorize(_zcdp_success, otypes=[float])(b, math.sqrt(rho))
     return float(out) if out.ndim == 0 else out
+
+
+def _zcdp_success(b: float, root_rho: float) -> float:
+    """``srr_bound_zcdp`` at one valid base: numpy ufuncs on floats round as
+    they do on arrays (math.exp does not)."""
+    if b == 0.0:
+        return 0.0
+    root_log = np.sqrt(-np.log(max(b, 1e-300)))
+    if not root_log >= root_rho:
+        return 1.0
+    d = root_log - root_rho
+    return min(max(float(np.exp(-(d * d))), b), 1.0)
+
+
+def _zcdp_worst_case(s: float) -> float:
+    """max over bases b of ``srr_bound_zcdp(b, rho) - b``, s = sqrt(rho): in
+    u = sqrt(log 1/b) >= s, g(u) = e^-d^2 - e^-u^2, d = u - s, at the one
+    root of g' in (s, s + 1], as x e^-x^2 <= e^-1 for x >= 1. g' <= 0 reads
+    log1p(s/d) <= u^2 - d^2 = s (2u - s): no cancellation at small s, no
+    underflow at large s."""
+    if s == 0.0:  # the bound is the base itself
+        return 0.0
+    u = _bisect(lambda u: math.log1p(s / (u - s)) <= s * (2.0 * u - s),
+                s, s + 1.0)
+    d = u - s
+    return -math.exp(-d * d) * math.expm1(-s * (2.0 * u - s))
 
 
 def _check_rdp_curve(eps, t_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -80,24 +103,23 @@ def _check_rdp_curve(eps, t_grid) -> tuple[np.ndarray, np.ndarray]:
 
 def srr_bound_rdp_curve(base, eps, t_grid):
     """Best reconstruction bound over an RDP curve: min over orders t.
-
     ``base`` may be a scalar or an array of baselines; ``eps`` holds the RDP
-    epsilon of each order in ``t_grid``. The minimization over the order
-    grid is vectorized.
-    """
+    epsilon of each order in ``t_grid``."""
     grid, eps = _check_rdp_curve(eps, t_grid)
     b = np.asarray(base, dtype=float)
     if np.any((b < 0) | (b > 1)):
         raise ParameterError("base must lie in [0, 1]")
-    scalar = b.ndim == 0
-    b = np.atleast_1d(b)
-    # log 1 stands in at base 0, whose bound is 0: log 0 + inf would be NaN
-    log_b = np.log(np.where(b > 0, b, 1.0))
-    frac = (grid - 1.0) / grid
-    log_vals = frac[None, :] * (log_b[:, None] + eps[None, :])
-    out = np.exp(np.minimum(log_vals.min(axis=1), 0.0))
-    out = np.where(b == 0.0, 0.0, out)
-    return float(out[0]) if scalar else out
+    out = np.vectorize(_rdp_success, otypes=[float], excluded={1, 2})(
+        b, eps, (grid - 1.0) / grid)
+    return float(out) if out.ndim == 0 else out
+
+
+def _rdp_success(b: float, eps: np.ndarray, frac: np.ndarray) -> float:
+    """``srr_bound_rdp_curve`` at one valid base, frac = (t - 1)/t; b = 0
+    gives 0, as log 0 + inf would be NaN."""
+    if b == 0.0:
+        return 0.0
+    return float(np.exp(min(float((frac * (np.log(b) + eps)).min()), 0.0)))
 
 
 def srr_worst_case_rdp(eps, t_grid) -> float:
@@ -129,6 +151,9 @@ def default_t_grid() -> np.ndarray:
     grid = 1.0 + np.logspace(-4, math.log10(511.0), 400)
     grid.flags.writeable = False
     return grid
+
+
+_DEFAULT_T_FRAC = (default_t_grid() - 1.0) / default_t_grid()  # (t - 1)/t
 
 
 def _check_orders(t) -> np.ndarray:

@@ -240,6 +240,21 @@ def test_composed_profile_monotone_and_bounded():
                                                                      abs=1e-12)
 
 
+def test_profile_of_wide_losses_without_overflow():
+    # losses span [-2000, 2000]: e^-L overflows below -709 and e^eps beyond
+    # 709; neither may warn, and delta stays the certified suffix bound
+    pld = A.pld_compose(A.pld_of_laplace(1000.0, grid_step=0.5), 2)
+    top = float(pld.losses[-1]) + pld.step
+    eps_grid = np.array([0.0, 1.0, 500.0, 709.0, 710.0, 1500.0, top])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = A.profile_from_pld(pld, eps_grid)
+    above = [pld.masses[pld.losses > e].sum() for e in eps_grid]
+    assert np.all(prof.deltas <= np.array(above) + 1e-15)
+    assert prof.deltas[0] == pytest.approx(1.0, abs=1e-12)
+    assert prof.deltas[-1] == 0.0
+
+
 def test_composed_curve_conservative_vs_gaussian_oracle():
     # Gaussian-analog check of the PLD composition path end to end:
     # profile -> envelope stays below (never claims more privacy than) the

@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import oracles
 from fdprisk import accountant as A
 from fdprisk import calibrate as C
+from fdprisk import prior_bounds as P
 from fdprisk import risk as R
 from fdprisk import tradeoff as T
 
@@ -192,12 +195,104 @@ def test_worst_case_rdp_single_order_closed_form():
     assert got == pytest.approx(1 - math.exp(-1), abs=2e-16)
 
 
+_RHOS = (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0,
+         300.0, 700.0)
+
+
+def _zcdp_concave_max(rho):
+    """The zcdp worst case by the numeric concave maximizer."""
+    return max(0.0, T._concave_max(lambda b: P.srr_bound_zcdp(b, rho) - b))
+
+
 def test_worst_case_zcdp_against_oracle():
     for sigma in (0.3, 0.7, 1.0, 1.973592873866185, 3.0, 10.0):
         spec = A.MechanismSpec(family="gaussian", noise_scale=sigma)
         got = C.bound_at(C.method_bound(spec, "zcdp"), WORST)[2]
         want = oracles.zcdp_worst_case_adv_hp(1.0 / (2 * sigma * sigma))
         assert got == pytest.approx(float(want), abs=2e-16)
+    assert P._zcdp_worst_case(0.0) == 0.0  # the bound is the base itself
+    for rho in _RHOS:
+        got = P._zcdp_worst_case(math.sqrt(rho))
+        assert got == pytest.approx(
+            float(oracles.zcdp_worst_case_adv_hp(rho)), abs=2e-16)
+        # never below the numeric maximum it replaced
+        assert got >= _zcdp_concave_max(rho) - 2e-16
+
+
+def test_worst_case_zcdp_extremes_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # e^-u^2 underflows beyond rho ~ 745: the maximum tends to 1
+        for rho in (746.0, 1e4, 1e300):
+            assert P._zcdp_worst_case(math.sqrt(rho)) == 1.0
+        # small rho: 2 u s e^-u^2 peaks at u = 1/sqrt(2), sqrt(2/e) s
+        for rho in (1e-300, 1e-30, 1e-12):
+            s = math.sqrt(rho)
+            assert P._zcdp_worst_case(s) == pytest.approx(
+                math.sqrt(2.0 / math.e) * s, rel=1e-12)
+
+
+_BASES = st.one_of(st.just(0.0), st.just(1.0), st.just(5e-324),
+                   st.floats(0.0, 2.3e-308), st.floats(0.0, 1.0))
+
+
+@given(base=_BASES, sigma=st.one_of(st.just(1e300), st.floats(1e-3, 1e3)),
+       k=st.integers(1, 64))
+@settings(max_examples=200, deadline=None)
+def test_zcdp_success_is_the_public_bound_bit_for_bit(base, sigma, k):
+    # sigma = 1e300 underflows rho to 0
+    bound = C.method_bound(A.MechanismSpec("gaussian", sigma, compositions=k),
+                           "zcdp")
+    rho = (1.0 / sigma) ** 2 * k / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the base = 0 warning
+        want = P.srr_bound_zcdp(base, rho)
+    assert bound.success(base) == want
+    assert want == P.srr_bound_zcdp(np.array([base]), rho)[0]
+
+
+@given(base=_BASES, family=st.sampled_from(["gaussian", "laplace"]),
+       sigma=st.floats(1e-3, 1e3), k=st.integers(1, 64),
+       order=st.one_of(st.none(), st.floats(1.0001, 512.0)))
+@settings(max_examples=200, deadline=None)
+def test_rdp_success_is_the_public_bound_bit_for_bit(base, family, sigma, k,
+                                                     order):
+    # small Laplace scales give inf epsilons at the high orders
+    bound = C.method_bound(A.MechanismSpec(family, sigma, compositions=k),
+                           "rdp", order)
+    grid = P.default_t_grid() if order is None else np.array([order])
+    eps = C._RDP_EPSILON[family](grid, 1.0 / sigma, k)
+    want = P.srr_bound_rdp_curve(base, eps, grid)
+    assert bound.success(base) == want
+    assert want == P.srr_bound_rdp_curve(np.array([base]), eps, grid)[0]
+
+
+def test_success_kernels_match_the_vectorized_formulas():
+    # the per-base kernels against the array formulas they replaced, on one
+    # array of bases, with every order's epsilon inf for some Laplace grids
+    bases = np.concatenate([[0.0, 1.0, 5e-324, 1e-310, 1e-300],
+                            np.linspace(0.0, 1.0, 101),
+                            np.logspace(-320, -1, 100)])
+    for rho in (0.0,) + _RHOS:
+        s = math.sqrt(rho)
+        root_log = np.sqrt(-np.log(np.maximum(bases, 1e-300)))
+        vals = np.where(root_log >= s, np.exp(-(root_log - s) ** 2), 1.0)
+        want = np.where(bases == 0.0, 0.0, np.clip(vals, bases, 1.0))
+        got = [P._zcdp_success(b, s) for b in bases.tolist()]
+        assert np.array_equal(got, want)
+    for grid in (P.default_t_grid(), np.array([2.0]), np.array([1.0001])):
+        for eps in (P.gaussian_rdp_epsilon(grid, 0.7, 3),
+                    P.laplace_rdp_epsilon(grid, 2.0, 10),
+                    P.laplace_rdp_epsilon(grid, 900.0, 1)):
+            frac = (grid - 1.0) / grid
+            log_b = np.log(np.where(bases > 0, bases, 1.0))
+            log_vals = frac[None, :] * (log_b[:, None] + eps[None, :])
+            want = np.exp(np.minimum(log_vals.min(axis=1), 0.0))
+            want = np.where(bases == 0.0, 0.0, want)
+            got = [P._rdp_success(b, eps, frac) for b in bases.tolist()]
+            assert np.array_equal(got, want)
+    assert np.array_equal(P._DEFAULT_T_FRAC,
+                          (P.default_t_grid() - 1.0) / P.default_t_grid())
 
 
 def test_worst_case_vacuous_rdp_without_warnings():
@@ -206,5 +301,5 @@ def test_worst_case_vacuous_rdp_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         bound = C.method_bound(spec, "rdp")
-        assert bound.success(np.array([0.0, 0.5]))[0] == 0.0
+        assert bound.success(0.0) == 0.0
         assert C.bound_at(bound, WORST)[2] == 1.0

@@ -119,6 +119,32 @@ def test_calibrate_default_bracket_no_overflow(capsys, family, method,
     assert abs(math.log(sigma / ref.noise_scale)) <= 1e-4
 
 
+@pytest.mark.parametrize("method, sigma", [("eps_delta", 4.93729),
+                                           ("fdp", 2.44446)])
+def test_calibrate_composed_laplace_from_the_default_bracket(
+        capsys, monkeypatch, method, sigma):
+    # at the bracket's low end, sigma = 1e-3, the two-fold PLD's losses
+    # reach -2000: e^2000 and e^eps overflow unless the cells of loss <= 0
+    # and the infinite products are skipped. A step of 0.5 there keeps that
+    # loss range and skips 20M cells, 13 s and 2 GB per command; the risk
+    # there stays above the target, so the answer is the default step's.
+    curve_of = accountant.curve_of
+
+    def coarse_at_large_eps(spec, grid_step=1e-4):
+        big = spec.sensitivity / spec.noise_scale > 100.0
+        return curve_of(spec, 0.5 if big else grid_step)
+
+    monkeypatch.setattr(accountant, "curve_of", coarse_at_large_eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "calibrate", "--family", "laplace",
+                        "--target-adv", "0.2", "--compositions", "2",
+                        "--methods", method)
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
+        sigma, abs=5e-6)
+
+
 def test_bound_pso_large_epsilon_no_overflow(tmp_path, capsys):
     # e^800 overflows: the (eps, delta) singling-out bound is vacuous at
     # w > 0 and n * delta at w = 0

@@ -53,3 +53,29 @@ def test_run_queries(capsys):
     assert lines[0] == "delta_std,max_feasible_k_fdp,max_feasible_k_standard"
     # a failed delta prints no row here, only an error line to stderr
     assert len(lines) == 2 and lines[1].startswith("1e-9,")
+
+
+def _bench_row(side, seed, trace, ops, p50, calls):
+    return {"side": side, "workload": "w", "seed": seed, "trace": trace,
+            "notes": {"timed_ops": ops}, "correct": True, "failed": 0,
+            "metrics": ({"x.calls": {"value": calls}} if trace else
+                        {"op_p50_s": {"value": p50, "unit": "s"}})}
+
+
+def test_bench_compare_summarize_synthetic_rows():
+    rows = [_bench_row("parent", 1, 0, 368, 1.4e-3, 0),
+            _bench_row("change", 1, 0, 920, 0.8e-3, 0),
+            _bench_row("change", 2, 0, 368, 0.7e-3, 0),
+            _bench_row("parent", 2, 0, 276, 0.6e-3, 0),
+            _bench_row("parent", 1, 1, 10, 0.0, 19),
+            _bench_row("change", 1, 1, 10, 0.0, 19)]
+    got = load("bench_compare").summarize(rows, {"op_p50_s": "lower"})["w"]
+    assert got["pairs"] == 2
+    assert got["timed_ops"] == {"parent": [368, 276], "change": [920, 368]}
+    p50 = got["end_to_end"]["op_p50_s"]
+    assert p50["change_wins"] == 1  # pair 1 only
+    assert p50["parent"]["values"] == [1.4e-3, 0.6e-3]
+    assert p50["change"]["median"] == pytest.approx(0.75e-3)
+    assert got["correct"] == {"parent": True, "change": True}
+    assert got["failed"] == {"parent": 0, "change": 0}
+    assert got["traced"]["change"] == {"x.calls": 19}
