@@ -4,8 +4,10 @@ mechanisms and their k-fold self-compositions.
 Gaussian composes in closed form. k-fold randomized response is a pair of
 binomial distributions, whose exact Neyman-Pearson curve the oracle builds.
 Laplace composition goes through a discretized privacy loss distribution
-(PLD). All discretization rounds privacy losses toward larger loss, so every
-emitted delta (and every downstream risk bound) is a certified upper bound.
+(PLD), self-composed as one FFT power (Koskela, Jalko & Honkela, "Computing
+Tight Differential Privacy Guarantees Using FFT", AISTATS 2020). All
+discretization rounds privacy losses toward larger loss, so every emitted
+delta (and every downstream risk bound) is a certified upper bound.
 """
 
 from __future__ import annotations
@@ -125,38 +127,22 @@ def pld_of_laplace(epsilon_per_query: float, grid_step: float = 1e-4) -> PldGrid
 
 
 def pld_compose(pld: PldGrid, k: int) -> PldGrid:
-    """k-fold self-composition: convolution of the loss distribution.
-
-    Binary exponentiation over FFT convolutions. Negative round-off from the
-    FFT is clipped and the deficit moved to ``truncation_mass`` (pessimistic);
-    any surplus is taken from the lowest-loss cells.
+    """k-fold self-composition: the k-th power of the loss distribution's
+    transform, F^-1(F(m)^k), on an FFT length that holds the full k-fold
+    support (Koskela, Jalko & Honkela, AISTATS 2020). Negative round-off
+    from the FFT is clipped and the deficit moved to ``truncation_mass``
+    (pessimistic); any surplus is taken from the lowest-loss cells.
     """
     if not (isinstance(k, int) and k >= 1):
         raise ParameterError("k must be an integer >= 1")
     if k == 1:
         return pld
     from scipy.fft import irfft, next_fast_len, rfft  # loaded on first use
-
-    def combine(a_masses, a_off, b_masses, b_off):
-        # full linear convolution, at a fast FFT length
-        n = a_masses.size + b_masses.size - 1
-        size = next_fast_len(n, real=True)
-        m = irfft(rfft(a_masses, size) * rfft(b_masses, size), size)[:n]
-        return np.maximum(m, 0.0), a_off + b_off
-
-    base_m, base_off = pld.masses, pld.offset
-    result_m, result_off = None, 0.0
-    kk = k
-    while kk:
-        if kk & 1:
-            if result_m is None:
-                result_m, result_off = base_m.copy(), base_off
-            else:
-                result_m, result_off = combine(result_m, result_off,
-                                               base_m, base_off)
-        kk >>= 1
-        if kk:
-            base_m, base_off = combine(base_m, base_off, base_m, base_off)
+    n = k * (pld.masses.size - 1) + 1
+    size = next_fast_len(n, real=True)
+    spec = rfft(pld.masses, size)
+    np.power(spec, k, out=spec)
+    result_m = np.maximum(irfft(spec, size)[:n], 0.0)
 
     total = result_m.sum()
     if total > 1.0:
@@ -169,7 +155,7 @@ def pld_compose(pld: PldGrid, k: int) -> PldGrid:
         # deficit covers both input truncation carried through composition
         # and clipped negative round-off; treated as loss = +infinity
         trunc = 1.0 - total
-    return PldGrid(offset=result_off, step=pld.step, masses=result_m,
+    return PldGrid(offset=k * pld.offset, step=pld.step, masses=result_m,
                    truncation_mass=trunc)
 
 
@@ -268,19 +254,3 @@ def curve_of(spec: MechanismSpec, grid_step: float = 1e-4) -> TradeoffCurve:
     eps_grid = np.linspace(0.0, top, 2000)
     return curve_from_profile(profile_from_pld(pld, eps_grid))
 
-
-def spec_from_section(section) -> MechanismSpec:
-    """Mechanism spec from one config section, or any key-value mapping.
-
-    Keys: family, noise_scale, sensitivity, compositions, neighborhood.
-    """
-    try:
-        return MechanismSpec(
-            family=section.get("family", "").strip().lower(),
-            noise_scale=float(section.get("noise_scale")),
-            sensitivity=float(section.get("sensitivity", "1.0")),
-            compositions=int(section.get("compositions", "1")),
-            neighborhood=section.get("neighborhood", "add-remove").strip(),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"invalid mechanism config: {exc}") from None

@@ -148,7 +148,8 @@ def _read_config(path: str) -> configparser.ConfigParser:
 def _mechanism(cp: configparser.ConfigParser):
     """(curve, spec or None, report parameters) of the ``[mechanism]``
     section: a curve or profile CSV file, a bare epsilon / delta, or the
-    keys of ``accountant.spec_from_section``."""
+    keys family, noise_scale, sensitivity, compositions and neighborhood of
+    a ``MechanismSpec``."""
     sec = cp["mechanism"]
     if "curve_file" in sec:
         with open(sec["curve_file"]) as fh:
@@ -164,7 +165,15 @@ def _mechanism(cp: configparser.ConfigParser):
             raise ParameterError(f"invalid mechanism config: {exc}") from None
         return tradeoff.curve_from_epsilon_delta(**params), None, params
     else:
-        spec = accountant.spec_from_section(sec)
+        try:
+            spec = MechanismSpec(
+                family=sec.get("family", "").strip().lower(),
+                noise_scale=float(sec.get("noise_scale")),
+                sensitivity=float(sec.get("sensitivity", "1.0")),
+                compositions=int(sec.get("compositions", "1")),
+                neighborhood=sec.get("neighborhood", "add-remove").strip())
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"invalid mechanism config: {exc}") from None
         return accountant.curve_of(spec), spec, dataclasses.asdict(spec)
     return curve, None, {"curve": curve.provenance}
 
@@ -184,10 +193,7 @@ def _load_scenario(path: str) -> dict:
                 methods.append((tok.strip(), *_parse_method(tok)))
     if not baselines or not methods:
         raise ParameterError("scenario needs at least one baseline and one method")
-    name = cp["scenario"].get("name", "scenario") if cp.has_section("scenario") \
-        else "scenario"
-    return {"name": name, "mechanism": mech, "baselines": baselines,
-            "methods": methods}
+    return {"mechanism": mech, "baselines": baselines, "methods": methods}
 
 
 def _bound_report(mech: tuple, baseline_label: str, baseline: BaselineSpec,
@@ -234,7 +240,6 @@ def cmd_bound(args) -> int:
     reports: list[RiskReport] = []
     errors: list[str] = []
     bounds: dict = {}
-    n_ok = 0
     for b_label, baseline in scenario["baselines"]:
         for m_label, method, order in scenario["methods"]:
             try:
@@ -242,7 +247,6 @@ def cmd_bound(args) -> int:
                                     m_label, method, order, bounds)
                 reports.append(rep)
                 rows.append(rep.csv_row())
-                n_ok += 1
             except ParameterError as exc:
                 msg = str(exc).replace(",", ";").replace("\n", " ")
                 rows.append(f"{m_label},,,,baseline={b_label};error:{msg}")
@@ -254,7 +258,7 @@ def cmd_bound(args) -> int:
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
         _emit(args, RISK_REPORT_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-    if n_ok == 0:
+    if not reports:
         print("all bound rows failed", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

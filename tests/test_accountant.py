@@ -132,57 +132,79 @@ def test_pld_of_laplace_step_too_coarse():
         A.pld_of_laplace(0.2, grid_step=0.5)
 
 
-def _pld_compose_fftconvolve(pld, k):
-    """pld_compose as it was built on scipy.signal.fftconvolve."""
-    from scipy.signal import fftconvolve
-    base_m, base_off = pld.masses, pld.offset
-    result_m, result_off = None, 0.0
-    while k:
-        if k & 1:
-            if result_m is None:
-                result_m, result_off = base_m.copy(), base_off
-            else:
-                result_m = np.maximum(fftconvolve(result_m, base_m), 0.0)
-                result_off += base_off
-        k >>= 1
-        if k:
-            base_m = np.maximum(fftconvolve(base_m, base_m), 0.0)
-            base_off += base_off
-    return result_m, result_off
+def _pld_compose_direct(pld, k):
+    """Masses of the k-fold self-composition by a chain of direct
+    convolutions: sums of products of non-negative masses, no FFT."""
+    m = pld.masses
+    for _ in range(k - 1):
+        m = np.convolve(m, pld.masses)
+    return m
+
+
+def _rr_pld(p):
+    """Randomized response at flip probability p: atoms at -+log((1-p)/p)."""
+    return A.PldGrid(offset=-math.log((1 - p) / p),
+                     step=2 * math.log((1 - p) / p),
+                     masses=np.array([p, 1 - p]))
+
+
+def _pld_compose_power(pld, k):
+    """The raw masses pld_compose forms before its surplus rule."""
+    from scipy.fft import irfft, next_fast_len, rfft
+    n = k * (pld.masses.size - 1) + 1
+    size = next_fast_len(n, real=True)
+    spec = rfft(pld.masses, size)
+    np.power(spec, k, out=spec)
+    return np.maximum(irfft(spec, size)[:n], 0.0)
 
 
 def test_pld_compose_identity():
     pld = A.pld_of_laplace(0.2, grid_step=1e-3)
     assert A.pld_compose(pld, 1) is pld
-    # bit-identical with the scipy.signal composition it replaced
-    plds = [A.pld_of_laplace(0.2, grid_step=1e-3),
-            A.pld_of_laplace(1.0, grid_step=1e-4),
-            # randomized response at p = 0.1, 0.3: atoms at -+log((1-p)/p)
-            A.PldGrid(offset=-math.log(9.0), step=2 * math.log(9.0),
-                      masses=np.array([0.1, 0.9])),
-            A.PldGrid(offset=-math.log(7 / 3), step=2 * math.log(7 / 3),
-                      masses=np.array([0.3, 0.7]))]
-    for pld in plds:
-        for k in (2, 3, 18):
+    # within FFT round-off of the direct convolution, cell by cell; the
+    # direct chain on 20,001 cells stops at k = 3 to stay cheap
+    cases = [(A.pld_of_laplace(0.2, grid_step=1e-3), (2, 3, 18)),
+             (A.pld_of_laplace(1.0, grid_step=1e-4), (2, 3)),
+             (_rr_pld(0.1), (2, 3, 18)), (_rr_pld(0.3), (2, 3, 18))]
+    for pld, ks in cases:
+        for k in ks:
             got = A.pld_compose(pld, k)
-            masses, offset = _pld_compose_fftconvolve(pld, k)
-            assert masses.sum() <= 1.0  # a surplus: the test below
-            assert got.offset == offset
-            assert np.array_equal(got.masses, masses)
-            assert got.truncation_mass == max(0.0, 1.0 - masses.sum())
+            masses = _pld_compose_direct(pld, k)
+            assert got.offset == k * pld.offset
+            assert np.max(np.abs(got.masses - masses)) <= 1e-14
+            assert 0.0 <= got.truncation_mass <= 1e-14
+            assert abs(got.masses.sum() + got.truncation_mass - 1.0) <= 1e-15
+
+
+def test_pld_compose_delta_within_round_off_of_direct_convolution():
+    # coarse grids, so the direct chain stays cheap at k = 64
+    plds = [A.pld_of_laplace(0.2, grid_step=4e-3),
+            A.pld_of_laplace(1.0, grid_step=1e-2),
+            _rr_pld(0.1), _rr_pld(0.3)]
+    for pld in plds:
+        for k in (2, 3, 7, 18, 64):
+            got = A.pld_compose(pld, k)
+            direct = A.PldGrid(offset=got.offset, step=pld.step,
+                               masses=_pld_compose_direct(pld, k))
+            top = float(got.losses[-1]) + pld.step
+            eps = np.concatenate([np.linspace(0.0, top, 401),
+                                  got.losses[got.losses >= 0]])
+            diff = (A.profile_from_pld(got, eps).deltas
+                    - A.profile_from_pld(direct, eps).deltas)
+            assert np.max(np.abs(diff)) <= 5e-14, (pld.step, k)
 
 
 def test_pld_compose_surplus_leaves_delta_certified():
     # Laplace PLDs whose FFT self-convolution sums to more than 1
     for eps, step in ((0.15, 1e-4), (0.25, 1e-3), (0.9, 1e-4), (1.0, 1e-3)):
         pld = A.pld_of_laplace(eps, grid_step=step)
-        raw, offset = _pld_compose_fftconvolve(pld, 2)
+        raw = _pld_compose_power(pld, 2)
         assert raw.sum() > 1.0
         got = A.pld_compose(pld, 2)
         assert got.truncation_mass == 0.0
         assert abs(got.masses.sum() - 1.0) <= 1e-15
         # only the lowest-loss cells gave up mass; rescaling lowers them all
-        rescaled = A.PldGrid(offset=offset, step=step,
+        rescaled = A.PldGrid(offset=got.offset, step=step,
                              masses=raw / raw.sum())
         assert np.all(got.masses <= raw)
         assert got.losses[got.masses != raw].max() < 0.0

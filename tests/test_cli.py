@@ -210,12 +210,11 @@ def test_tradeoff_mechanism_spec_file(tmp_path, capsys):
     section = {"family": "laplace", "noise_scale": "5.0",
                "sensitivity": "1.0", "compositions": "3",
                "neighborhood": "replace-one"}
-    spec = accountant.spec_from_section(section)
-    assert spec == accountant.MechanismSpec("laplace", 5.0, 1.0, 3,
-                                            "replace-one")
+    spec = accountant.MechanismSpec("laplace", 5.0, 1.0, 3, "replace-one")
     path = tmp_path / "mech.cfg"
     path.write_text("[mechanism]\n" + "".join(f"{k} = {v}\n"
                                               for k, v in section.items()))
+    assert cli._mechanism(cli._read_config(str(path)))[1] == spec
     code, out = run(capsys, "tradeoff", "--mechanism", str(path))
     assert code == 0
     want = io.StringIO()
