@@ -21,7 +21,7 @@ from . import accountant, prior_bounds, risk
 from .accountant import MechanismSpec
 from .risk import BaselineSpec
 from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
-                       _epsilon_at_delta, curve_from_epsilon_delta,
+                       _epsilon_at_delta, _exp, curve_from_epsilon_delta,
                        delta_for_epsilon)
 
 METHODS = ("fdp", "rdp", "zcdp", "eps_delta")
@@ -134,25 +134,41 @@ def method_bound(spec: MechanismSpec, method: str,
 
 
 def _eps_delta_bound(epsilon: float, delta: float) -> PriorBound:
-    """Success 1 - f(base), clamped to [base, 1], of the (epsilon, delta)
-    curve f; its worst case is the curve's eta, a closed form."""
+    """Success 1 - f(b) of the (epsilon, delta) curve f, read off its pieces
+    as min(delta + e^eps b, 1 - e^-eps (1 - delta - b)), clamped to [b, 1]:
+    neither piece cancels, as 1 - f(b) does where f(b) is near 1. Its worst
+    case is the curve's eta, a closed form."""
     f = curve_from_epsilon_delta(epsilon, delta)
-    return PriorBound(lambda base: min(max(1.0 - f(base), base), 1.0),
-                      lambda: risk.adv_bound_worst_case(f))
+    if math.isinf(epsilon):  # f is the zero curve
+        return PriorBound(lambda base: 1.0, lambda: 1.0)
+    e_pos, e_neg = _exp(epsilon), math.exp(-epsilon)
+
+    def success(b):
+        near = delta + (e_pos * b if b > 0.0 else 0.0)  # e_pos may be inf
+        far = e_neg * (delta + b) - math.expm1(-epsilon)
+        return min(max(min(near, far), b), 1.0)
+
+    return PriorBound(success, lambda: risk.adv_bound_worst_case(f))
 
 
 def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:
     """(base, success, advantage) of a ``method_bound`` at one baseline.
 
     The worst-case baseline has no scalar value; it gives base 0, the
-    vacuous success 1 and the largest advantage over all baselines.
+    vacuous success 1 and the largest advantage over all baselines. The
+    ``pso_weight`` baseline (n records, predicate weight w) bounds success
+    by the union over the n records, min(1, n * success at base w) (Cohen &
+    Nissim, PNAS 2020), for every method; its base is n w (1 - w)^(n - 1).
     """
     if baseline.kind == "worst_case":
         if isinstance(bound, TradeoffCurve):
             return 0.0, 1.0, risk.adv_bound_worst_case(bound)
         return 0.0, 1.0, bound.worst_case()
     base = risk.baseline_value(baseline)
-    if not isinstance(bound, TradeoffCurve):
+    if baseline.kind == "pso_weight":
+        _, succ_w, _ = bound_at(bound, BaselineSpec.fixed(baseline.w))
+        succ = min(1.0, baseline.n * succ_w)
+    elif not isinstance(bound, TradeoffCurve):
         succ = bound.success(base)
     elif baseline.kind == "bernoulli":
         succ = risk.bernoulli_succ_bound(bound, baseline.pi)

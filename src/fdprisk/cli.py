@@ -97,39 +97,46 @@ def cmd_tradeoff(args) -> int:
 # --------------------------------------------------------------------------
 # bound
 
-def parse_baseline(text: str) -> tuple[str, BaselineSpec]:
+def parse_baseline(text: str) -> BaselineSpec:
     """Parse ``fixed:0.1`` / ``pso:5000:2e-4`` / ``spso:1e-4`` /
     ``bernoulli:0.5`` / ``worst_case`` baseline descriptors."""
     parts = text.strip().split(":")
     kind = parts[0].strip().lower()
     try:
         if kind == "fixed":
-            return text, BaselineSpec.fixed(float(parts[1]))
+            return BaselineSpec.fixed(float(parts[1]))
         if kind == "pso":
-            return text, BaselineSpec.pso_weight(int(parts[1]), float(parts[2]))
+            return BaselineSpec.pso_weight(int(parts[1]), float(parts[2]))
         if kind == "spso":
             # the simple singling-out weight w is a fixed baseline w
-            return text, BaselineSpec.fixed(float(parts[1]))
+            return BaselineSpec.fixed(float(parts[1]))
         if kind == "bernoulli":
-            return text, BaselineSpec.bernoulli(float(parts[1]))
+            return BaselineSpec.bernoulli(float(parts[1]))
         if kind == "worst_case":
-            return text, BaselineSpec.worst_case()
+            return BaselineSpec.worst_case()
     except (IndexError, ValueError) as exc:
         raise ParameterError(f"bad baseline {text!r}: {exc}") from None
     raise ParameterError(f"unknown baseline kind in {text!r}")
 
 
-def _parse_method(text: str) -> tuple[str, float | None]:
-    """Method token -> (method, rdp_order). ``rdp-t2`` pins the order."""
-    m = text.strip().lower()
-    if m.startswith("rdp-t"):
-        try:
-            return "rdp", float(m[5:])
-        except ValueError:
-            raise ParameterError(f"bad RDP order in method {text!r}") from None
-    if m in ("fdp", "rdp", "zcdp", "eps_delta"):
-        return m, None
-    raise ParameterError(f"unknown method {text!r}")
+def parse_methods(text: str) -> list[tuple[str, str, float | None]]:
+    """A comma list of methods -> (label, method, rdp_order) per non-empty
+    token; ``rdp-t2`` pins the RDP order."""
+    methods = []
+    for label in filter(None, map(str.strip, text.split(","))):
+        m = label.lower()
+        if m.startswith("rdp-t"):
+            try:
+                methods.append((label, "rdp", float(m[5:])))
+            except ValueError:
+                raise ParameterError(f"bad RDP order in {label!r}") from None
+        elif m in calibrate.METHODS:
+            methods.append((label, m, None))
+        else:
+            raise ParameterError(f"unknown method {label!r}")
+    if not methods:
+        raise ParameterError(f"no method in {text!r}")
+    return methods
 
 
 def _read_config(path: str) -> configparser.ConfigParser:
@@ -181,57 +188,39 @@ def _mechanism(cp: configparser.ConfigParser):
 def _load_scenario(path: str) -> dict:
     cp = _read_config(path)
     mech = _mechanism(cp)
-    baselines = []
-    if cp.has_section("baselines"):
-        for _, v in cp["baselines"].items():
-            baselines.append(parse_baseline(v))
-    methods = []
-    if cp.has_section("methods"):
-        raw = cp["methods"].get("methods", "")
-        for tok in raw.split(","):
-            if tok.strip():
-                methods.append((tok.strip(), *_parse_method(tok)))
-    if not baselines or not methods:
-        raise ParameterError("scenario needs at least one baseline and one method")
-    return {"mechanism": mech, "baselines": baselines, "methods": methods}
+    labels = cp["baselines"].values() if cp.has_section("baselines") else ()
+    if not labels:
+        raise ParameterError("scenario needs at least one baseline")
+    return {"mechanism": mech,
+            "baselines": [(v, parse_baseline(v)) for v in labels],
+            "methods": parse_methods(cp.get("methods", "methods",
+                                            fallback=""))}
 
 
 def _bound_report(mech: tuple, baseline_label: str, baseline: BaselineSpec,
                   method_label: str, method: str, rdp_order: float | None,
                   bounds: dict) -> RiskReport:
-    """One row of the bound table for a ``_mechanism`` triple; ``bounds``
-    caches each method's bound."""
+    """One row of the bound table for a ``_mechanism`` triple. ``bounds``
+    caches one bound per (method, order): the curve for fdp,
+    ``calibrate.method_bound`` for a mechanism spec, and for eps_delta on a
+    bare (epsilon, delta) pair, that pair's own bound."""
     curve, spec, params = mech
-    params = {**params, "baseline": baseline_label}
-    if baseline.kind == "pso_weight":
-        # union singling-out bounds over the n records, not a method bound
+    key = (method, rdp_order)
+    if key not in bounds:
         if method == "fdp":
-            succ = prior_bounds.pso_bound_fdp(baseline.n, baseline.w, curve)
-        elif method == "eps_delta":
-            if "epsilon" not in params:
-                raise ParameterError(
-                    "eps_delta PSO bound needs an (epsilon, delta) mechanism")
-            succ = prior_bounds.pso_bound_eps_delta(
-                baseline.n, baseline.w, params["epsilon"], params["delta"])
+            bounds[key] = curve
+        elif spec is not None:
+            bounds[key] = calibrate.method_bound(spec, method, rdp_order)
+        elif method == "eps_delta" and "epsilon" in params:
+            bounds[key] = calibrate._eps_delta_bound(params["epsilon"],
+                                                     params["delta"])
         else:
-            raise ParameterError(
-                f"method {method_label!r} has no singling-out bound")
-        base = risk.baseline_value(baseline)
-        adv = max(0.0, succ - base)
-    else:
-        key = (method, rdp_order)
-        if key not in bounds:
-            if method == "fdp":
-                bounds[key] = curve
-            elif spec is None:
-                raise ParameterError(f"method {method_label!r} needs a "
-                                     "parametric mechanism spec")
-            else:
-                bounds[key] = calibrate.method_bound(spec, method, rdp_order)
-        base, succ, adv = calibrate.bound_at(bounds[key], baseline)
+            raise ParameterError(f"method {method_label!r} needs a "
+                                 "parametric mechanism spec")
+    base, succ, adv = calibrate.bound_at(bounds[key], baseline)
     return RiskReport(method=method_label, baseline_value=base,
                       success_bound=succ, advantage_bound=adv,
-                      parameters=params)
+                      parameters={**params, "baseline": baseline_label})
 
 
 def cmd_bound(args) -> int:
@@ -268,7 +257,7 @@ def cmd_bound(args) -> int:
 # calibrate
 
 def cmd_calibrate(args) -> int:
-    _, baseline = parse_baseline(args.baseline)
+    baseline = parse_baseline(args.baseline)
     if args.target_adv is not None:
         target_kind, target_value = "advantage", args.target_adv
     elif args.target_succ is not None:
@@ -276,8 +265,7 @@ def cmd_calibrate(args) -> int:
     else:
         raise ParameterError("specify --target-adv or --target-succ")
     results = []
-    for method_label in args.methods.split(","):
-        method, order = _parse_method(method_label)
+    for method_label, method, order in parse_methods(args.methods):
         req = CalibrationRequest(
             family=args.family, target_kind=target_kind,
             target_value=target_value, baseline=baseline, method=method,
@@ -285,7 +273,7 @@ def cmd_calibrate(args) -> int:
             rdp_order=order, eps_delta_delta=args.delta,
             tolerance=args.tolerance)
         res = calibrate.calibrate_noise(req)
-        results.append((method_label.strip(), res))
+        results.append((method_label, res))
     ref = results[0][1].noise_scale
     if args.format == "json":
         payload = [{"method": label, "noise_scale": r.noise_scale,
@@ -451,10 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Privacy-risk bounds from trade-off curves")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, formats=("csv", "json")):
         p.add_argument("--output", help="output file (relative paths resolve "
                        f"under ${OUTPUT_DIR_ENV} when set)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", choices=formats, default="csv")
 
     p = sub.add_parser("tradeoff", help="emit trade-off curve knots")
     p.add_argument("--gaussian-mu", type=float)
@@ -480,7 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-adv", type=float)
     p.add_argument("--target-succ", type=float)
     p.add_argument("--baseline", default="worst_case",
-                   help="e.g. fixed:0.1, bernoulli:0.5, worst_case")
+                   help="fixed:B, pso:N:W (union singling-out bound over N "
+                   "records at predicate weight W), spso:W, bernoulli:PI "
+                   "or worst_case")
     p.add_argument("--methods", default="fdp",
                    help="comma list: fdp, zcdp, rdp, rdp-t2, eps_delta")
     p.add_argument("--sensitivity", type=float, default=1.0)
@@ -503,10 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_queries)
 
-    p = sub.add_parser("verify", help="run the brute-force oracle corpus")
+    p = sub.add_parser("verify", help="run the brute-force oracle corpus "
+                       "(text output)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pairs", type=int, default=60)
-    add_common(p)
+    add_common(p, formats=())
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -15,8 +15,8 @@ import warnings
 import numpy as np
 
 from .accountant import rr_pair
-from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
-                       _epsilon_at_delta, _exp, _times, lower_convex_hull)
+from .tradeoff import (ParameterError, _bisect, _epsilon_at_delta, _exp,
+                       _times, lower_convex_hull)
 
 
 def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float:
@@ -30,15 +30,6 @@ def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float
     if math.isinf(epsilon):
         return 1.0
     return float(min(1.0, n * (_times(_exp(epsilon), w) + delta)))
-
-
-def pso_bound_fdp(n: int, w: float, f: TradeoffCurve) -> float:
-    """Singling-out success from a trade-off curve: min(1, n(1 - f(w)))."""
-    if n <= 1:
-        raise ParameterError(f"n must be > 1, got {n}")
-    if not 0.0 <= w <= 1.0 / n:
-        raise ParameterError(f"w must lie in [0, 1/n], got {w}")
-    return float(min(1.0, n * (1.0 - f(w))))
 
 
 def srr_bound_zcdp(base, rho: float):

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,43 @@ def test_worst_case_eps_delta_closed_form():
             want = (e - 1 + 2 * delta) / (e + 1)
             assert C.bound_at(bound, WORST)[2] == pytest.approx(want,
                                                                 abs=3e-16)
+
+
+@pytest.mark.parametrize("w", [2e-5, 2e-7])
+def test_pso_bound_covers_publishing_one_record(w):
+    # publishing one of n records, drawn uniformly, is (0, 1/n)-DP; a
+    # weight-w predicate that holds the published record singles it out
+    # unless one of the other n - 1 records satisfies it too
+    n = 5000
+    pso = R.BaselineSpec.pso_weight(n, w)
+    for bound in (T.curve_from_epsilon_delta(0.0, 1.0 / n),
+                  C._eps_delta_bound(0.0, 1.0 / n)):
+        assert C.bound_at(bound, pso)[1] >= (1.0 - w) ** (n - 1)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 10.6, 800.0])
+@pytest.mark.parametrize("delta", [1e-10, 1e-5])
+def test_eps_delta_success_is_exact_below_the_kink(eps, delta):
+    # the (eps, delta) success bound is delta + e^eps b up to the kink
+    # b = (1 - delta)/(1 + e^eps); 1 - f(b) cancels there
+    success = C._eps_delta_bound(eps, delta).success
+    with mpmath.workdps(50):
+        d, e = mpmath.mpf(delta), mpmath.exp(eps)
+        for t in (0.0, 1e-9, 1e-3, 0.1, 0.5, 1.0):
+            b = float((1 - d) / (1 + e) * t)
+            want = d + e * b
+            assert abs(success(b) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 10.6, 800.0, math.inf])
+def test_pso_eps_delta_is_the_prior_bound_bit_for_bit(eps):
+    for delta in (0.0, 1e-10, 1e-5):
+        bound = C._eps_delta_bound(eps, delta)
+        for n in (10, 500, 5000):
+            for w in (0.0, 1e-7, 1e-5, 1.0 / n):
+                pso = R.BaselineSpec.pso_weight(n, w)
+                assert C.bound_at(bound, pso)[1] == \
+                    P.pso_bound_eps_delta(n, w, eps, delta)
 
 
 def test_worst_case_rdp_single_order_closed_form():

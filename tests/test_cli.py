@@ -114,7 +114,7 @@ def test_calibrate_default_bracket_no_overflow(capsys, family, method,
     # the same calibration from a bracket that never reaches large eps
     ref = calibrate.calibrate_noise(CalibrationRequest(
         family=family, target_kind="advantage", target_value=0.15,
-        baseline=cli.parse_baseline(baseline)[1], method=method,
+        baseline=cli.parse_baseline(baseline), method=method,
         bracket=(1.0, 1e3)))
     assert abs(math.log(sigma / ref.noise_scale)) <= 1e-4
 
@@ -161,6 +161,44 @@ def test_bound_pso_large_epsilon_no_overflow(tmp_path, capsys):
     rows = [r.split(",") for r in out.strip().splitlines()[1:]]
     assert float(rows[0][2]) == 1.0
     assert float(rows[1][2]) == pytest.approx(5000 * 1e-6, rel=1e-15)
+
+
+@pytest.mark.parametrize("method", ["fdp", "zcdp", "rdp", "eps_delta"])
+def test_bound_pso_row_is_risk_at(tmp_path, capsys, method):
+    # bound and calibrate read one pso meaning: the union singling-out bound
+    sigma, baseline = 3.0, "pso:5000:2e-5"
+    scn = tmp_path / "s.cfg"
+    scn.write_text(GAUSS_SCENARIO.replace("noise_scale = 1.0",
+                                          f"noise_scale = {sigma!r}")
+                   .replace("b1 = fixed:0.25\nb2 = worst_case",
+                            f"pso = {baseline}")
+                   .replace("fdp, zcdp, rdp-t2", method))
+    code, out = run(capsys, "bound", "--scenario", str(scn))
+    assert code == 0
+    _, _, succ, adv, _ = out.strip().splitlines()[1].split(",", 4)
+    for kind, got in (("success", succ), ("advantage", adv)):
+        req = CalibrationRequest(family="gaussian", target_kind=kind,
+                                 target_value=0.5, method=method,
+                                 baseline=cli.parse_baseline(baseline))
+        assert float(got) == calibrate.risk_at(req, sigma) < 1.0
+
+
+def test_methods_list_has_one_reader(tmp_path, capsys):
+    assert cli.parse_methods(" fdp, ,rdp-t2,") == [
+        ("fdp", "fdp", None), ("rdp-t2", "rdp", 2.0)]
+    for bad in (",", "fdp,magic", "rdp-tx"):
+        with pytest.raises(tradeoff.ParameterError):
+            cli.parse_methods(bad)
+    argv = ["calibrate", "--family", "gaussian", "--target-adv", "0.2"]
+    assert run(capsys, *argv, "--methods", "fdp,") == \
+        run(capsys, *argv, "--methods", "fdp")
+    assert run(capsys, *argv, "--methods", ",")[0] == 2
+
+
+def test_verify_takes_no_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--pairs", "1", "--format", "json"])
+    assert exc.value.code == 2
 
 
 def test_calibrate_randomized_response_rejected(capsys):

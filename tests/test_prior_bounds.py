@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
+from fdprisk import calibrate as C
 from fdprisk import prior_bounds as P
+from fdprisk import risk as R
 from fdprisk import tradeoff as T
 
 
@@ -23,10 +25,12 @@ def test_pso_eps_delta_values():
 
 
 def test_pso_fdp_values():
+    # the union singling-out bound min(1, n (1 - f(w))) of calibrate.bound_at
+    pso = R.BaselineSpec.pso_weight(10, 0.01)
     ident = T.curve_from_epsilon_delta(0.0, 0.0)
-    assert P.pso_bound_fdp(10, 0.01, ident) == pytest.approx(0.1)
+    assert C.bound_at(ident, pso)[1] == pytest.approx(0.1)
     zero = T.curve_from_epsilon_delta(math.inf, 0.0)
-    assert P.pso_bound_fdp(10, 0.01, zero) == 1.0
+    assert C.bound_at(zero, pso)[1] == 1.0
 
 
 def test_pso_fdp_never_worse_than_eps_delta():
@@ -35,7 +39,8 @@ def test_pso_fdp_never_worse_than_eps_delta():
             f = T.curve_from_epsilon_delta(eps, delta)
             for n in (500, 1000, 5000):
                 w = 1 / 5000
-                assert P.pso_bound_fdp(n, w, f) <= \
+                pso = R.BaselineSpec.pso_weight(n, w)
+                assert C.bound_at(f, pso)[1] <= \
                     P.pso_bound_eps_delta(n, w, eps, delta) + 1e-12
 
 

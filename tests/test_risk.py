@@ -36,7 +36,7 @@ def test_baseline_values():
                  * (1 - mpmath.mpf(1) / 5000) ** 4999)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.3679, abs=5e-4)
-    assert R.baseline_value(cli.parse_baseline("spso:1e-4")[1]) == 1e-4
+    assert R.baseline_value(cli.parse_baseline("spso:1e-4")) == 1e-4
     assert R.baseline_value(R.BaselineSpec.bernoulli(0.5)) == 0.5
     assert R.baseline_value(R.BaselineSpec.bernoulli(0.3)) == 0.7
     assert R.baseline_value(R.BaselineSpec.fixed(0.25)) == 0.25
