@@ -13,7 +13,8 @@ between a side's traced runs at one seed (they run a fixed op list). Every
 run lasts the ``run_seconds`` of the parent's BENCHMARK.json. Raw result
 lines are appended to ``<out>.jsonl`` as they arrive; the BENCH file holds,
 per workload, side and metric, the median and quartiles, the change's wins
-over the parent pair by pair, each side's timed op count per run, whether
+over the parent pair by pair, each side's timed op count per run and the
+op groups that hold op_tail_s and op_p50_s in each run, whether
 each side's runs were all correct and how many ops each side failed, and
 each side's git SHA and versions.
 """
@@ -60,6 +61,17 @@ def traced_medians(rows: list[dict]) -> dict:
             for name in rows[0]["metrics"]} if rows else {}
 
 
+def groups_at(row: dict) -> dict:
+    """The op group holding each of op_tail_s and op_p50_s in one timed
+    run, read from the notes' op_s_by_group: the group of the op nearest
+    the metric (the lower middle op where the median falls between two)."""
+    ops = [(t, g) for g, ts in row["notes"]["op_s_by_group"].items()
+           for t in ts]
+    return {name: min(ops, key=lambda op: (abs(op[0] - value), op[0]))[1]
+            for name in ("op_tail_s", "op_p50_s")
+            for value in [row["metrics"][name]["value"]]}
+
+
 def summarize(rows: list[dict], better: dict) -> dict:
     out: dict = {}
     for wl in dict.fromkeys(r["workload"] for r in rows):
@@ -70,7 +82,10 @@ def summarize(rows: list[dict], better: dict) -> dict:
                        # ops per timed run: a run of one round more or
                        # fewer moves op_tail_s and peak_rss_mb
                        "timed_ops": {s: [r["notes"]["timed_ops"]
-                                         for r in timed[s]] for s in timed}}
+                                         for r in timed[s]] for s in timed},
+                       # per timed run, the op groups that hold these
+                       "groups_at": {s: [groups_at(r) for r in timed[s]]
+                                     for s in timed}}
         for name in timed["parent"][0]["metrics"]:
             vals = {s: [r["metrics"][name]["value"] for r in timed[s]]
                     for s in timed}

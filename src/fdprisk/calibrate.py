@@ -123,7 +123,7 @@ def method_bound(spec: MechanismSpec, method: str,
         eps = rdp_epsilon(grid, scale, k)  # once per spec, not per call
         return PriorBound(
             lambda base: prior_bounds._rdp_success(base, eps, frac),
-            lambda: prior_bounds.srr_worst_case_rdp(eps, grid))
+            lambda: prior_bounds._rdp_worst_case(eps, frac))
     if method == "eps_delta":
         # the single-pair curve at the smallest eps at the configured delta
         f = accountant.curve_of(spec)

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .accountant import rr_pair
-from .tradeoff import (ParameterError, _bisect, _epsilon_at_delta, _exp,
+from .tradeoff import (ParameterError, _epsilon_at_delta, _exp, _solve,
                        _times, lower_convex_hull)
 
 
@@ -68,12 +68,18 @@ def _zcdp_worst_case(s: float) -> float:
     """max over bases b of ``srr_bound_zcdp(b, rho) - b``, s = sqrt(rho): in
     u = sqrt(log 1/b) >= s, g(u) = e^-d^2 - e^-u^2, d = u - s, at the one
     root of g' in (s, s + 1], as x e^-x^2 <= e^-1 for x >= 1. g' <= 0 reads
-    log1p(s/d) <= u^2 - d^2 = s (2u - s): no cancellation at small s, no
-    underflow at large s."""
+    log1p(s/d) <= u^2 - d^2 = s (2u - s), or l / (l + r) <= 1/2 for the two
+    sides l and r: no cancellation at small s, no underflow at large s."""
     if s == 0.0:  # the bound is the base itself
         return 0.0
-    u = _bisect(lambda u: math.log1p(s / (u - s)) <= s * (2.0 * u - s),
-                s, s + 1.0)
+
+    def share(u):  # falls from 1 at u = s
+        if u <= s:
+            return 1.0
+        l, r = math.log1p(s / (u - s)), s * (2.0 * u - s)
+        return l / (l + r)
+
+    u = _solve(share, 0.5, s, s + 1.0, 1.0, share(s + 1.0))
     d = u - s
     return -math.exp(-d * d) * math.expm1(-s * (2.0 * u - s))
 
@@ -122,15 +128,34 @@ def srr_worst_case_rdp(eps, t_grid) -> float:
     is concave with its peak at u = (c + log s)/(1 - s), clamped to the piece.
     """
     grid, eps = _check_rdp_curve(eps, t_grid)
+    return _rdp_worst_case(eps, (grid - 1.0) / grid)
+
+
+def _rdp_worst_case(eps: np.ndarray, frac: np.ndarray) -> float:
+    """``srr_worst_case_rdp`` on valid input, frac = (t - 1)/t. Of rising
+    orders, every point that fails the hull's own test on its consecutive
+    triple drops at once, until none does: the points left are those
+    ``lower_convex_hull`` keeps, to the bit, without its Python loop.
+    Other orders are sorted and merged by the hull first."""
     fin = np.isfinite(eps)
-    s = (grid[fin] - 1.0) / grid[fin]
-    xs, cs = lower_convex_hull(np.append(0.0, s), np.append(0.0, s * eps[fin]))
+    s = frac[fin]
+    xs, cs = np.concatenate(([0.0], s)), np.concatenate(([0.0], s * eps[fin]))
+    if not (xs[1:] > xs[:-1]).all():
+        xs, cs = lower_convex_hull(xs, cs)
+    while True:
+        dx, dc = xs[1:] - xs[:-1], cs[1:] - cs[:-1]
+        drop = dc[:-1] * (xs[2:] - xs[:-2]) >= (cs[2:] - cs[:-2]) * dx[:-1]
+        if not drop.any():
+            break
+        keep = np.concatenate(([True], ~drop, [True]))
+        xs, cs = xs[keep], cs[keep]
     if xs.size == 1:  # every order vacuous: the bound is 1 at each b > 0
         return 1.0
-    cross = -np.diff(cs) / np.diff(xs)  # u where neighbouring lines meet
+    cross = -dc / dx  # u where neighbouring lines meet
     s, c = xs[1:], cs[1:]
-    u = np.clip((c + np.log(s)) / (1.0 - s),
-                np.append(cross[1:], -np.inf), np.minimum(cross, 0.0))
+    u = np.minimum(np.maximum((c + np.log(s)) / (1.0 - s),
+                              np.concatenate((cross[1:], [-np.inf]))),
+                   np.minimum(cross, 0.0))  # np.clip, without its overhead
     adv = np.exp(np.minimum(s * u + c, 0.0)) - np.exp(u)
     return max(0.0, float(adv.max()))
 
@@ -149,7 +174,7 @@ _DEFAULT_T_FRAC = (default_t_grid() - 1.0) / default_t_grid()  # (t - 1)/t
 
 def _check_orders(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 1):
+    if not (t > 1).all():
         raise ParameterError(f"order must be > 1, got {t}")
     return t
 
@@ -167,10 +192,11 @@ def laplace_rdp_epsilon(t, epsilon: float, k: int = 1):
     t = _check_orders(t)
     if not epsilon >= 0:
         raise ParameterError("epsilon must be >= 0")
+    t_1, t_2 = t - 1.0, 2.0 * t - 1.0
     with np.errstate(over="ignore"):  # inf: the vacuous bound at this order
-        inner = (t / (2.0 * t - 1.0)) * np.exp((t - 1.0) * epsilon) \
-            + ((t - 1.0) / (2.0 * t - 1.0)) * np.exp(-t * epsilon)
-    out = k * np.log(inner) / (t - 1.0)
+        inner = (t / t_2) * np.exp(t_1 * epsilon) \
+            + (t_1 / t_2) * np.exp(t * -epsilon)
+    out = k * np.log(inner) / t_1
     return float(out) if out.ndim == 0 else out
 
 
@@ -189,6 +215,13 @@ def optimal_composition_pure(epsilon: float, k: int, delta_target: float) -> tup
     if not 0.0 < delta_target < 1.0:
         raise ParameterError("delta_target must lie in (0, 1)")
     log_keep = -math.log1p(math.exp(-epsilon))  # log e^eps / (1 + e^eps)
-    _, delta_of = rr_pair(k, log_keep, log_keep - epsilon)
-    eps_g = _epsilon_at_delta(delta_of, delta_target)
+    # rounded up: the pair's loss step at least eps by four ulps, and its
+    # delta by four ulps of the largest log-pmf term, log k! + k |log flip|
+    log_flip = log_keep - epsilon
+    while log_keep - log_flip < epsilon + 4.0 * math.ulp(epsilon):
+        log_flip = math.nextafter(log_flip, -math.inf)
+    up = 1.0 + 2.0 ** -51 * (math.lgamma(k + 1) - k * log_flip)
+    _, delta_of = rr_pair(k, log_keep, log_flip)
+    eps_g = _epsilon_at_delta(lambda e: min(1.0, up * delta_of(e)),
+                              delta_target)
     return float(eps_g), float(delta_target)

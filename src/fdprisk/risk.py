@@ -9,10 +9,12 @@ refinement, and the report row the CLI prints for each bound.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from .tradeoff import ParameterError, TradeoffCurve, _concave_max, tv_from_curve
+from .tradeoff import (ParameterError, TradeoffCurve, _concave_max,
+                       delta_for_epsilon, tv_from_curve)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,11 +100,14 @@ def adv_bound_worst_case(f: TradeoffCurve) -> float:
 def bayes_error(f: TradeoffCurve, pi: float) -> float:
     """Minimal weighted test error R_f(pi) = min_alpha (pi*alpha + (1-pi)*f(alpha)).
 
-    Piecewise-linear curves are minimized exactly at knots (the objective is
-    linear per segment); analytic curves use ``tradeoff._concave_max``.
+    It is min(pi, 1 - pi) (1 - delta) at delta = ``_conjugate_delta`` <= 1/2;
+    above, where 1 - delta cancels, and on other curves, the objective is
+    minimized at its knots or by ``tradeoff._concave_max`` (relative
+    precision at small R_f).
     """
-    if not 0.0 <= pi <= 1.0:
-        raise ParameterError(f"pi must lie in [0, 1], got {pi}")
+    d = _conjugate_delta(f, pi)
+    if d is not None and d <= 0.5:
+        return min(pi, 1.0 - pi) * (1.0 - d)
 
     def obj(a):
         return pi * np.asarray(a, dtype=float) + (1.0 - pi) * f(a)
@@ -112,9 +117,23 @@ def bayes_error(f: TradeoffCurve, pi: float) -> float:
     return -_concave_max(lambda a: -obj(a))
 
 
+def _conjugate_delta(f: TradeoffCurve, pi: float) -> float | None:
+    """delta(|logit pi|), with R_f(pi) = min(pi, 1 - pi) (1 - delta) by f-delta
+    conjugacy (Dong, Roth & Su, JRSS-B 2022): on every curve at pi >= 1/2,
+    on the symmetric ones with a closed-form delta below; else None."""
+    if not 0.0 <= pi <= 1.0:
+        raise ParameterError(f"pi must lie in [0, 1], got {pi}")
+    if 0.0 < pi < 1.0 and (pi >= 0.5 or f.delta is not None):
+        return delta_for_epsilon(f, abs(math.log(pi / (1.0 - pi))))
+    return None
+
+
 def bernoulli_succ_bound(f: TradeoffCurve, pi: float) -> float:
-    """Success against a Bernoulli(pi) two-candidate prior: 1 - R_f(pi)."""
-    return float(min(1.0, 1.0 - bayes_error(f, pi)))
+    """Success against a Bernoulli(pi) two-candidate prior: 1 - R_f(pi), by
+    conjugacy at every delta, as 1 - R_f needs only absolute precision."""
+    d = _conjugate_delta(f, pi)
+    r = bayes_error(f, pi) if d is None else min(pi, 1.0 - pi) * (1.0 - d)
+    return float(min(1.0, 1.0 - r))
 
 
 @dataclasses.dataclass(frozen=True)

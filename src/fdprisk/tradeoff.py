@@ -367,7 +367,8 @@ def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
     """Smallest point found in (lo, hi] where the monotone ``ok`` holds,
     given ok(lo) false and ok(hi) true: halvings until the bracket is at
     most ``tol`` wide, or until the midpoint rounds to an end point and so
-    can no longer move. The one root finder of the package."""
+    can no longer move. ``calibrate_noise`` runs on it; ``_solve`` ends
+    with it."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -377,6 +378,52 @@ def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
         else:
             lo = mid
     return hi
+
+
+def _solve(f: Callable[[float], float], target: float, lo: float, hi: float,
+           f_lo: float, f_hi: float, convex: bool = False) -> float:
+    """Smallest point found in (lo, hi] where f <= target, for f falling
+    in [0, 1] with f_lo = f(lo) > target >= f(hi) = f_hi: Illinois regula
+    falsi (Dowell & Jarratt, BIT 1971) on sqrt(log 1/f), near linear on a
+    Gaussian tail; for f ``convex`` in e^x, as a privacy profile is, the
+    larger of it and the secant of the last two left points in e^x, at or
+    below the root. Steps stay two ulps inside the bracket; a halving
+    follows one so clamped that stays on its end's side. ``_bisect`` on
+    the exact test finishes, so the answer meets the target."""
+    t = math.sqrt(-math.log(target)) if target > 0.0 else 0.0
+
+    def g(v):
+        return t - math.sqrt(-math.log(v)) if v > 0.0 else -math.inf
+
+    a = f_a = None  # the left point before lo
+    g_lo, g_hi = g(f_lo), g(f_hi)
+    w_lo = w_hi = 1.0  # Illinois weights
+    side, halve = 0, False
+    step = 2.0 * math.ulp(hi)
+    while hi - lo > 2.0 * step:
+        x = -math.inf
+        if convex and a is not None and f_a != f_lo:
+            y = (f_lo - target) * math.expm1(a - lo) / (f_lo - f_a)
+            x = lo + math.log1p(y) if -1.0 < y else x
+            x = x if x < hi else -math.inf  # above an ok point: round-off
+        if -math.inf < g_hi < 0.0 and w_lo * g_lo != w_hi * g_hi:
+            rf = hi - w_hi * g_hi * (hi - lo) / (w_hi * g_hi - w_lo * g_lo)
+            x = rf if rf > x else x
+        if halve or x == -math.inf:  # f(hi) at the target: try next to hi
+            x = hi if g_hi == 0.0 and not halve else 0.5 * (lo + hi)
+        near = x - lo < step or hi - x < step
+        x = lo + step if x < lo + step else hi - step if x > hi - step else x
+        v = f(x)
+        ok = v <= target
+        halve = near and ok == (hi - x < 1.5 * step)
+        if ok:
+            w_lo = 0.5 * w_lo if side == 1 else 1.0
+            hi, f_hi, g_hi, side, w_hi = x, v, g(v), 1, 1.0
+            step = 2.0 * math.ulp(hi)
+        else:
+            w_hi = 0.5 * w_hi if side == -1 else 1.0
+            a, f_a, lo, f_lo, g_lo, side, w_lo = lo, f_lo, x, v, g(v), -1, 1.0
+    return _bisect(lambda x: f(x) <= target, lo, hi)
 
 
 # --------------------------------------------------------------------------
@@ -431,27 +478,29 @@ def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
 def _epsilon_at_delta(delta_of: Callable[[float], float],
                       delta: float) -> float:
     """Smallest eps at which the privacy profile ``delta_of`` is at most
-    delta: the bracket doubles from 1 up to 1e6, then bisects."""
-    if delta_of(0.0) <= delta:
+    delta: the bracket doubles from 1 up to 1e6, then ``_solve``."""
+    d_lo = delta_of(0.0)
+    if d_lo <= delta:
         return 0.0
-    hi = 1.0
-    while delta_of(hi) > delta:
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    while (d_hi := delta_of(hi)) > delta:
+        lo, d_lo, hi = hi, d_hi, 2.0 * hi
         if hi > 1e6:
             raise ParameterError("cannot find finite epsilon at this delta")
-    return _bisect(lambda e: delta_of(e) <= delta, 0.0, hi)
+    return _solve(delta_of, delta, lo, hi, d_lo, d_hi, convex=True)
 
 
 def gaussian_mu_at(epsilon: float, delta: float) -> float:
     """The largest mu in [1e-4, 80] whose Gaussian curve has delta(epsilon)
     at most delta: the least private Gaussian that is (epsilon, delta)-DP."""
-    def ok(t):  # on t = -mu, so that _bisect's answer meets the target
-        return delta_for_epsilon(gaussian_curve(-t), epsilon) <= delta
+    def delta_of(t):  # on t = -mu, so that _solve's answer meets the target
+        return delta_for_epsilon(gaussian_curve(-t), epsilon)
 
-    if not ok(-1e-4) or ok(-80.0):
+    d_lo, d_hi = delta_of(-80.0), delta_of(-1e-4)
+    if not d_hi <= delta or d_lo <= delta:
         raise ParameterError(f"no mu in [1e-4, 80] has delta({epsilon!r}) "
                              f"= {delta!r}")
-    return -_bisect(ok, -80.0, -1e-4)
+    return -_solve(delta_of, delta, -80.0, -1e-4, d_lo, d_hi)
 
 
 def profile_from_curve(f: TradeoffCurve, epsilons: Sequence[float]) -> PrivacyProfile:

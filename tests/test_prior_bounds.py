@@ -131,6 +131,50 @@ def test_srr_worst_case_rdp_against_grid_oracle():
                 assert want - 2.2e-16 <= got <= want + 1e-12
 
 
+def _rdp_worst_case_on_hull(eps, frac):
+    """The worst case through ``lower_convex_hull`` on every input: the
+    kernel's path before it dropped points without the hull's loop."""
+    fin = np.isfinite(eps)
+    s = frac[fin]
+    xs, cs = T.lower_convex_hull(np.append(0.0, s), np.append(0.0, s * eps[fin]))
+    if xs.size == 1:
+        return 1.0
+    cross = -np.diff(cs) / np.diff(xs)
+    s, c = xs[1:], cs[1:]
+    u = np.clip((c + np.log(s)) / (1.0 - s),
+                np.append(cross[1:], -np.inf), np.minimum(cross, 0.0))
+    adv = np.exp(np.minimum(s * u + c, 0.0)) - np.exp(u)
+    return max(0.0, float(adv.max()))
+
+
+def test_rdp_worst_case_kernel_bits_match_hull_path():
+    grid = P.default_t_grid()
+    frac = (grid - 1.0) / grid
+    for rdp_epsilon in (P.gaussian_rdp_epsilon, P.laplace_rdp_epsilon):
+        for k in (1, 5, 7):
+            # Laplace below mu = 5e-3 fails the hull's test by round-off
+            for mu in np.geomspace(1e-3, 50.0, 48):
+                eps = rdp_epsilon(grid, float(mu), k)
+                assert P._rdp_worst_case(eps, P._DEFAULT_T_FRAC) == \
+                    _rdp_worst_case_on_hull(eps, frac)
+    for eps, t in ((np.zeros(400), grid), (np.array([0.05]), np.array([2.0])),
+                   (np.array([1.0, 2.0]), np.array([3.0, 2.0]))):
+        # collinear points, one order, and orders that do not rise
+        f = (t - 1.0) / t
+        assert P._rdp_worst_case(eps, f) == \
+            _rdp_worst_case_on_hull(eps, f)
+    rng = np.random.default_rng(15)
+    for n in rng.integers(1, 12, 600):
+        # random, repeated or sorted orders; tiny, zero or infinite epsilons
+        t = [1.0 + 5.0 * rng.random(n), 1.1 + np.round(4.0 * rng.random(n), 1),
+             1.0 + np.sort(3.0 * rng.random(n))][n % 3]
+        eps = rng.random(n) * rng.choice([1e-6, 1.0, 10.0])
+        eps[rng.random(n) < 0.1] = np.inf
+        eps = np.zeros(n) if rng.random() < 0.1 else eps
+        assert P.srr_worst_case_rdp(eps, t) == \
+            _rdp_worst_case_on_hull(eps, (t - 1.0) / t), (t, eps)
+
+
 def test_srr_worst_case_rdp_edge_cases():
     grid = P.default_t_grid()
     # every eps 0: the dual points are collinear, the hull keeps only the
@@ -216,6 +260,23 @@ def test_kov_against_direct_summation(k):
     d_below = oracles.kov_delta_direct(eps0, k, eps_g * (1 - 1e-6))
     assert d_at <= target * (1 + 1e-6)
     assert d_below >= target * (1 - 1e-6)
+
+
+def test_kov_at_or_above_the_exact_root():
+    # the exact delta at eps_g, at 40 digits, is at most the target: eps_g
+    # lies at or above the root of the pair with loss step exactly eps0
+    with mpmath.workdps(40):
+        for b in (1, 2, 5, 10, 19.3975, 20):
+            eps0 = mpmath.mpf(1.0 / b)
+            for k in (3, 10, 30, 40, 59, 64):
+                for target in (1e-9, 1e-5):
+                    eps_g, _ = P.optimal_composition_pure(1.0 / b, k, target)
+                    exact = sum(
+                        mpmath.binomial(k, j) * (mpmath.exp(j * eps0)
+                                                 - mpmath.exp(eps_g + (k - j) * eps0))
+                        for j in range(k + 1) if (2 * j - k) * eps0 > eps_g)
+                    assert exact / (1 + mpmath.exp(eps0)) ** k <= target, \
+                        (b, k, target)
 
 
 def test_kov_monotone_in_k():

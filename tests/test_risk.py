@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,43 @@ def test_bayes_error_gaussian_grid_oracle():
     want, _ = oracles.grid_min(lambda a: 0.25 * a + 0.75 * f(a), n=1_000_001,
                                rounds=2)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_bayes_error_gaussian_against_mpmath():
+    # pi Phi(-z) + (1 - pi) Phi(z - mu) at z = logit(pi)/mu + mu/2
+    with mpmath.workdps(50):
+        for mu in (0.3, 1.0, 3.0):
+            for pi in (0.0, 1e-6, 0.3, 0.5, 0.58, 0.99, 1.0):
+                if 0.0 < pi < 1.0:
+                    z = mpmath.log(mpmath.mpf(pi) / (1 - mpmath.mpf(pi))) / mu \
+                        + mpmath.mpf(mu) / 2
+                    want = pi * mpmath.ncdf(-z) + (1 - pi) * mpmath.ncdf(z - mu)
+                else:
+                    want = mpmath.mpf(0)
+                got = R.bayes_error(T.gaussian_curve(mu), pi)
+                assert abs(got - want) <= 1e-15, (mu, pi)
+
+
+def test_bayes_error_keeps_relative_precision_when_small():
+    # delta near 1: 1 - delta would cancel to 0 at mu = 20, pi = 1/2
+    with mpmath.workdps(50):
+        for mu in (8.0, 20.0, 30.0):
+            for pi in (1e-6, 0.3, 0.5, 0.99):
+                z = mpmath.log(mpmath.mpf(pi) / (1 - mpmath.mpf(pi))) / mu \
+                    + mpmath.mpf(mu) / 2
+                want = pi * mpmath.ncdf(-z) + (1 - pi) * mpmath.ncdf(z - mu)
+                got = R.bayes_error(T.gaussian_curve(mu), pi)
+                assert abs(got - want) <= 1e-13 * want, (mu, pi)
+
+
+def test_bayes_error_asymmetric_curve_below_one_half():
+    # not symmetric: below pi = 1/2 the knot minimum, not the profile
+    f = T.piecewise_curve([0.0, 0.05, 1.0], [0.6, 0.1, 0.0])
+    for pi in (0.1, 0.3, 0.45):
+        want = min(pi * a + (1 - pi) * b for a, b in f.knots)
+        assert R.bayes_error(f, pi) == want
+        eps = abs(math.log(pi / (1 - pi)))
+        assert want != min(pi, 1 - pi) * (1 - T.delta_for_epsilon(f, eps))
 
 
 def test_bayes_error_gaussian_closed_form():

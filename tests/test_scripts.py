@@ -55,23 +55,33 @@ def test_run_queries(capsys):
     assert len(lines) == 2 and lines[1].startswith("1e-9,")
 
 
-def _bench_row(side, seed, trace, ops, p50, calls):
+def _bench_row(side, seed, trace, ops, p50, calls, tail=0.0, by_group=None):
     return {"side": side, "workload": "w", "seed": seed, "trace": trace,
-            "notes": {"timed_ops": ops}, "correct": True, "failed": 0,
+            "notes": {"timed_ops": ops, "op_s_by_group": by_group or {}},
+            "correct": True, "failed": 0,
             "metrics": ({"x.calls": {"value": calls}} if trace else
-                        {"op_p50_s": {"value": p50, "unit": "s"}})}
+                        {"op_p50_s": {"value": p50, "unit": "s"},
+                         "op_tail_s": {"value": tail, "unit": "s"}})}
 
 
 def test_bench_compare_summarize_synthetic_rows():
-    rows = [_bench_row("parent", 1, 0, 368, 1.4e-3, 0),
-            _bench_row("change", 1, 0, 920, 0.8e-3, 0),
-            _bench_row("change", 2, 0, 368, 0.7e-3, 0),
-            _bench_row("parent", 2, 0, 276, 0.6e-3, 0),
+    # two groups; the median 1.4e-3 falls between the ops 1.3e-3 and
+    # 1.5e-3 and is read as the lower one's group
+    two = {"a": [1.0e-3, 1.5e-3, 3.0e-3], "b": [1.3e-3, 2.0e-3, 4.0e-3]}
+    rows = [_bench_row("parent", 1, 0, 368, 1.4e-3, 0, 3.0e-3, two),
+            _bench_row("change", 1, 0, 920, 0.8e-3, 0, 0.8e-3, {"a": [0.8e-3]}),
+            _bench_row("change", 2, 0, 368, 0.7e-3, 0, 0.7e-3, {"b": [0.7e-3]}),
+            _bench_row("parent", 2, 0, 276, 0.6e-3, 0, 0.6e-3, {"a": [0.6e-3]}),
             _bench_row("parent", 1, 1, 10, 0.0, 19),
             _bench_row("change", 1, 1, 10, 0.0, 19)]
-    got = load("bench_compare").summarize(rows, {"op_p50_s": "lower"})["w"]
+    got = load("bench_compare").summarize(
+        rows, {"op_p50_s": "lower", "op_tail_s": "lower"})["w"]
     assert got["pairs"] == 2
     assert got["timed_ops"] == {"parent": [368, 276], "change": [920, 368]}
+    assert got["groups_at"]["parent"] == [
+        {"op_tail_s": "a", "op_p50_s": "b"},
+        {"op_tail_s": "a", "op_p50_s": "a"}]
+    assert got["groups_at"]["change"][1] == {"op_tail_s": "b", "op_p50_s": "b"}
     p50 = got["end_to_end"]["op_p50_s"]
     assert p50["change_wins"] == 1  # pair 1 only
     assert p50["parent"]["values"] == [1.4e-3, 0.6e-3]

@@ -372,6 +372,60 @@ def test_profile_from_curve_trivial_and_roundtrip():
     assert T.delta_for_epsilon(f, 1.0) == pytest.approx(1e-5, abs=1e-12)
 
 
+def _epsilon_at_delta_by_bisection(delta_of, delta):
+    """The doubling bracket and tol = 0 bisection from 0 that
+    ``_epsilon_at_delta`` ran before its superlinear solver."""
+    if delta_of(0.0) <= delta:
+        return 0.0
+    hi = 1.0
+    while delta_of(hi) > delta:
+        hi *= 2.0
+        if hi > 1e6:
+            return None
+    return T._bisect(lambda e: delta_of(e) <= delta, 0.0, hi)
+
+
+def _profiles():
+    for mu in np.geomspace(0.02, 30.0, 12):
+        yield "gaussian", float(mu), T.gaussian_curve(float(mu)).delta
+    for eps0 in np.geomspace(0.02, 20.0, 12):
+        yield "laplace", float(eps0), T.laplace_curve(float(eps0)).delta
+    for eps0 in (0.1, 1.0, 3.0, 10.0):
+        for d0 in (0.0, 1e-13, 1e-6):
+            yield "eps_delta", eps0, T.curve_from_epsilon_delta(eps0, d0).delta
+    for p in (0.05, 0.2, 0.45):
+        for k in (1, 10, 64):
+            yield "rr", p, A.randomized_response_curve(p, k).delta
+
+
+def test_epsilon_at_delta_against_bisection():
+    # every answer meets delta, lies within 1e-13 of the tol = 0 bisection
+    # and takes at most 4 more delta evaluations than it; a Gaussian at
+    # mu <= 2 and delta = 1e-5 takes at most 20
+    for family, param, profile in _profiles():
+        for delta in (1e-12, 1e-9, 1e-5, 1e-3, 0.1):
+            calls = []
+
+            def counted(e, calls=calls, profile=profile):
+                calls.append(e)
+                return profile(e)
+
+            want = _epsilon_at_delta_by_bisection(counted, delta)
+            n_want = len(calls)
+            calls.clear()
+            if want is None:  # delta below the (eps, delta) curve's floor
+                with pytest.raises(T.ParameterError):
+                    T._epsilon_at_delta(counted, delta)
+                continue
+            got = T._epsilon_at_delta(counted, delta)
+            case = (family, param, delta, got, want, len(calls), n_want)
+            assert profile(got) <= delta, case
+            assert abs(got - want) <= 1e-13 * want, case
+            assert len(calls) <= n_want + 4, case
+            if family == "gaussian" and param <= 2.0 and delta == 1e-5:
+                assert len(calls) <= 20, case
+
+
 @pytest.mark.parametrize("eps", (0.5, 1.0, 2.0, 5.0, 10.6, 20.0))
 def test_gaussian_mu_at_meets_delta(eps):
     for delta in (1e-12, 1e-10, 1e-9, 1e-6, 1e-3):
