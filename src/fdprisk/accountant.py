@@ -4,10 +4,13 @@ mechanisms and their k-fold self-compositions.
 Gaussian composes in closed form. k-fold randomized response is a pair of
 binomial distributions, whose exact Neyman-Pearson curve the oracle builds.
 Laplace composition goes through a discretized privacy loss distribution
-(PLD), self-composed as one FFT power (Koskela, Jalko & Honkela, "Computing
-Tight Differential Privacy Guarantees Using FFT", AISTATS 2020). All
-discretization rounds privacy losses toward larger loss, so every emitted
-delta (and every downstream risk bound) is a certified upper bound.
+(PLD), self-composed as one FFT power on ``numpy.fft`` (Koskela, Jalko &
+Honkela, "Computing Tight Differential Privacy Guarantees Using FFT",
+AISTATS 2020). All discretization rounds privacy losses toward larger loss,
+so every emitted delta (and every downstream risk bound) is a certified
+upper bound. scipy.special is imported on first use, by the Gaussian and
+randomized-response curves, so Laplace and (epsilon, delta) work runs on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .oracle import DiscretePair, exact_tradeoff
 from .tradeoff import (ParameterError, PrivacyProfile, TradeoffCurve,
@@ -126,6 +128,21 @@ def pld_of_laplace(epsilon_per_query: float, grid_step: float = 1e-4) -> PldGrid
     return PldGrid(offset=-eps + grid_step, step=grid_step, masses=masses)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, a fast real FFT length:
+    the length ``scipy.fft.next_fast_len(n, real=True)`` picks."""
+    best = 1 << (n - 1).bit_length()  # the power of two at or above n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def pld_compose(pld: PldGrid, k: int) -> PldGrid:
     """k-fold self-composition: the k-th power of the loss distribution's
     transform, F^-1(F(m)^k), on an FFT length that holds the full k-fold
@@ -137,12 +154,11 @@ def pld_compose(pld: PldGrid, k: int) -> PldGrid:
         raise ParameterError("k must be an integer >= 1")
     if k == 1:
         return pld
-    from scipy.fft import irfft, next_fast_len, rfft  # loaded on first use
     n = k * (pld.masses.size - 1) + 1
-    size = next_fast_len(n, real=True)
-    spec = rfft(pld.masses, size)
+    size = _fast_len(n)
+    spec = np.fft.rfft(pld.masses, size)
     np.power(spec, k, out=spec)
-    result_m = np.maximum(irfft(spec, size)[:n], 0.0)
+    result_m = np.maximum(np.fft.irfft(spec, size)[:n], 0.0)
 
     total = result_m.sum()
     if total > 1.0:
@@ -197,6 +213,7 @@ def rr_pair(k: int, log_keep: float, log_flip: float):
     also the optimal composition of k eps0-DP mechanisms (Kairouz, Oh &
     Viswanath, ICML 2015).
     """
+    from scipy.special import gammaln  # loaded on first use
     j = np.arange(k + 1)
     log_pmf = (gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
                + j * log_keep + (k - j) * log_flip)

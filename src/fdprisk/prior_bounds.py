@@ -188,15 +188,18 @@ def gaussian_rdp_epsilon(t, mu: float, k: int = 1):
 
 def laplace_rdp_epsilon(t, epsilon: float, k: int = 1):
     """Renyi divergence of order t of k composed unit-shifted
-    Laplace(1/epsilon) pairs; ``t`` may be a scalar or an array of orders."""
+    Laplace(1/epsilon) pairs; ``t`` may be a scalar or an array of orders.
+    The log's argument, t/(2t - 1) e^((t - 1) eps) + (t - 1)/(2t - 1)
+    e^(-t eps), is 1 + O(eps^2): it is summed less 1, by expm1, so that
+    small epsilons do not cancel."""
     t = _check_orders(t)
     if not epsilon >= 0:
         raise ParameterError("epsilon must be >= 0")
     t_1, t_2 = t - 1.0, 2.0 * t - 1.0
     with np.errstate(over="ignore"):  # inf: the vacuous bound at this order
-        inner = (t / t_2) * np.exp(t_1 * epsilon) \
-            + (t_1 / t_2) * np.exp(t * -epsilon)
-    out = k * np.log(inner) / t_1
+        inner_m1 = (t / t_2) * np.expm1(t_1 * epsilon) \
+            + (t_1 / t_2) * np.expm1(t * -epsilon)
+    out = k * np.log1p(inner_m1) / t_1
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,7 +14,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 
 class ParameterError(ValueError):
@@ -270,6 +269,7 @@ def gaussian_curve(mu: float) -> TradeoffCurve:
     """
     if not (mu >= 0):
         raise ParameterError(f"mu must be >= 0, got {mu}")
+    from scipy.special import log_ndtr, ndtr, ndtri  # loaded on first use
 
     def fn(a):
         return ndtr(-ndtri(np.asarray(a, dtype=float)) - mu)

@@ -149,13 +149,39 @@ def _rr_pld(p):
 
 
 def _pld_compose_power(pld, k):
-    """The raw masses pld_compose forms before its surplus rule."""
+    """The raw masses pld_compose forms before its surplus rule, on
+    scipy.fft: a reference independent of pld_compose's numpy.fft."""
     from scipy.fft import irfft, next_fast_len, rfft
     n = k * (pld.masses.size - 1) + 1
     size = next_fast_len(n, real=True)
     spec = rfft(pld.masses, size)
     np.power(spec, k, out=spec)
     return np.maximum(irfft(spec, size)[:n], 0.0)
+
+
+def test_fast_len_is_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 20_001), *rng.integers(20_001, 5_000_000, 3000)]:
+        assert A._fast_len(int(n)) == next_fast_len(int(n), real=True), n
+
+
+def test_pld_compose_masses_bit_identical_to_scipy_fft(monkeypatch):
+    import scipy.fft
+    for b in (0.5, 1, 2, 5, 10, 20):
+        pld = A.pld_of_laplace(1.0 / b)
+        for k in (2, 3, 6, 10, 18, 64):
+            got = A.pld_compose(pld, k)
+            raw = _pld_compose_power(pld, k)
+            if raw.sum() <= 1.0:  # else the surplus rule moved some cells
+                assert np.array_equal(got.masses, raw), (b, k)
+            # and the whole of pld_compose, surplus rule included
+            with monkeypatch.context() as m:
+                m.setattr(np.fft, "rfft", scipy.fft.rfft)
+                m.setattr(np.fft, "irfft", scipy.fft.irfft)
+                want = A.pld_compose(pld, k)
+            assert np.array_equal(got.masses, want.masses), (b, k)
+            assert got.truncation_mass == want.truncation_mass, (b, k)
 
 
 def test_pld_compose_identity():

@@ -209,26 +209,54 @@ def test_calibrate_randomized_response_rejected(capsys):
     assert "its parameter is a flip probability, not a noise scale" in err
 
 
-def test_cli_start_skips_slow_scipy_modules():
-    # a fresh interpreter: this one has loaded scipy.stats already
+def _fresh_cli(commands):
+    """[exit code, loaded scipy modules] after ``import fdprisk``, after
+    ``import fdprisk.cli`` and after each command, all in one fresh
+    interpreter: this one has loaded scipy already. A module stays loaded,
+    so a command's list holds those of the commands before it."""
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'scipy')\n"
+        "import fdprisk\n"
+        "out = [[None, scipy()]]\n"
         "import fdprisk.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(sys.argv[1:])\n"
-        "print(code, sorted({'scipy.stats', 'scipy.signal', 'scipy.optimize',"
-        " 'scipy.fft'} & set(sys.modules)))\n")
+        "out.append([None, scipy()])\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        out.append([cli.main(argv), scipy()])\n"
+        "print(json.dumps(out))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_cli_start_skips_slow_scipy_modules(tmp_path):
+    mechanism = tmp_path / "laplace_k3.cfg"
+    mechanism.write_text("[mechanism]\nfamily = laplace\nnoise_scale = 5.0\n"
+                         "compositions = 3\n")
+    numpy_only = [["verify"], ["tradeoff", "--epsilon", "1.0"],
+                  ["tradeoff", "--epsilon", "1.0", "--delta", "1e-5"],
+                  ["tradeoff", "--laplace-eps", "1.0"],
+                  ["tradeoff", "--mechanism", str(mechanism)],
+                  ["bound", "--scenario",
+                   os.path.join(ROOT, "scenarios", "census_state.cfg")]]
+    steps = _fresh_cli(numpy_only)
+    assert steps == [[None, []]] * 2 + [[0, []]] * len(numpy_only)
+    # the Gaussian curves load scipy.special, but none of these
     calibrate = ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
                  "--methods", "fdp,zcdp,rdp", "--baseline"]
-    for argv in (["bound", "--scenario",
-                  os.path.join(ROOT, "scenarios", "example_gaussian.cfg")],
-                 calibrate + ["bernoulli:0.5"], calibrate + ["worst_case"]):
-        out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "0 []", argv
+    gaussian = [["bound", "--scenario",
+                 os.path.join(ROOT, "scenarios", "example_gaussian.cfg")],
+                calibrate + ["bernoulli:0.5"], calibrate + ["worst_case"]]
+    slow = {"scipy.stats", "scipy.signal", "scipy.optimize", "scipy.fft"}
+    for code, modules in _fresh_cli(gaussian)[2:]:
+        assert code == 0
+        assert not slow & set(modules)
 
 
 def test_tradeoff_missing_source_is_config_error(capsys):

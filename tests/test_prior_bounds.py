@@ -225,6 +225,21 @@ def test_laplace_rdp_against_numeric_integral():
         P.laplace_rdp_epsilon(np.array([2.0, 1.0]), eps)
 
 
+def test_laplace_rdp_against_mpmath_at_small_epsilon():
+    # the log's argument is 1 + O(eps^2): taken whole, it cancels to 2e-6
+    # relative at eps = 1e-3
+    grid = P.default_t_grid()
+    with mpmath.workdps(50):
+        for eps in (1e-3, 1e-2, 0.1, 1.0):
+            got = P.laplace_rdp_epsilon(grid, eps)
+            for t, g in zip(grid, got):
+                t_, e = mpmath.mpf(t), mpmath.mpf(eps)
+                want = mpmath.log(t_ / (2 * t_ - 1) * mpmath.exp((t_ - 1) * e)
+                                  + (t_ - 1) / (2 * t_ - 1)
+                                  * mpmath.exp(-t_ * e)) / (t_ - 1)
+                assert abs(g - want) <= 1e-12 * want, (eps, t)
+
+
 def test_gaussian_rdp_value():
     assert P.gaussian_rdp_epsilon(3.0, 2.0) == pytest.approx(6.0)
     ts = np.array([1.5, 3.0, 64.0])
