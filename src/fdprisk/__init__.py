@@ -13,8 +13,7 @@ from .risk import BaselineSpec, RiskReport, adv_bound, adv_bound_worst_case, \
     baseline_value, succ_bound
 from .tradeoff import (ParameterError, PrivacyProfile, TradeoffCurve,
                        curve_from_epsilon_delta, curve_from_profile,
-                       gaussian_curve, group_privacy, laplace_curve,
-                       profile_from_curve, tv_from_curve)
+                       gaussian_curve, laplace_curve, tv_from_curve)
 
 __version__ = "0.1.0"
 
@@ -24,6 +23,6 @@ __all__ = [
     "PrivacyProfile", "RiskReport", "TradeoffCurve",
     "adv_bound", "adv_bound_worst_case", "baseline_value", "calibrate_noise",
     "curve_from_epsilon_delta", "curve_from_profile", "curve_of",
-    "gaussian_curve", "group_privacy", "laplace_curve", "profile_from_curve",
-    "risk_at", "succ_bound", "tv_from_curve",
+    "gaussian_curve", "laplace_curve", "risk_at", "succ_bound",
+    "tv_from_curve",
 ]

@@ -360,6 +360,8 @@ def _curve_invariant_violations(curve: TradeoffCurve,
 def run_verification(seed: int = 0,
                      n_pairs: int = 60) -> tuple[bool, list[str]]:
     """Oracle corpus: curve invariants, TV consistency, attack soundness."""
+    if n_pairs < 1:
+        raise ParameterError(f"verification needs pairs >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     lines = []
     ok = True

@@ -3,17 +3,16 @@
 Success and advantage bounds for singling-out / reconstruction /
 attribute-inference style attacks with a known baseline, the worst-case
 (baseline-independent) TV bound, the Bernoulli-prior Bayes-error
-refinement, and the report row the CLI prints for each bound.
+refinement, and the report row the CLI prints for each bound. Every bound
+reads the curve's own values: f at the baseline, its privacy profile
+``f.delta`` and its Bayes error ``f.bayes``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
-import numpy as np
-
-from .tradeoff import (ParameterError, TradeoffCurve, _concave_max,
+from .tradeoff import (ParameterError, TradeoffCurve, _logit,
                        delta_for_epsilon, tv_from_curve)
 
 
@@ -98,41 +97,22 @@ def adv_bound_worst_case(f: TradeoffCurve) -> float:
 
 
 def bayes_error(f: TradeoffCurve, pi: float) -> float:
-    """Minimal weighted test error R_f(pi) = min_alpha (pi*alpha + (1-pi)*f(alpha)).
-
-    It is min(pi, 1 - pi) (1 - delta) at delta = ``_conjugate_delta`` <= 1/2;
-    above, where 1 - delta cancels, and on other curves, the objective is
-    minimized at its knots or by ``tradeoff._concave_max`` (relative
-    precision at small R_f).
-    """
-    d = _conjugate_delta(f, pi)
-    if d is not None and d <= 0.5:
-        return min(pi, 1.0 - pi) * (1.0 - d)
-
-    def obj(a):
-        return pi * np.asarray(a, dtype=float) + (1.0 - pi) * f(a)
-
-    if f.is_piecewise:
-        return float(np.min(obj(f.knots[:, 0])))
-    return -_concave_max(lambda a: -obj(a))
-
-
-def _conjugate_delta(f: TradeoffCurve, pi: float) -> float | None:
-    """delta(|logit pi|), with R_f(pi) = min(pi, 1 - pi) (1 - delta) by f-delta
-    conjugacy (Dong, Roth & Su, JRSS-B 2022): on every curve at pi >= 1/2,
-    on the symmetric ones with a closed-form delta below; else None."""
+    """Minimal weighted test error R_f(pi) = min_alpha (pi*alpha + (1-pi)*f(alpha)),
+    read off the curve's own ``f.bayes``; 0 at pi in {0, 1}."""
     if not 0.0 <= pi <= 1.0:
         raise ParameterError(f"pi must lie in [0, 1], got {pi}")
-    if 0.0 < pi < 1.0 and (pi >= 0.5 or f.delta is not None):
-        return delta_for_epsilon(f, abs(math.log(pi / (1.0 - pi))))
-    return None
+    return f.bayes(pi) if 0.0 < pi < 1.0 else 0.0
 
 
 def bernoulli_succ_bound(f: TradeoffCurve, pi: float) -> float:
-    """Success against a Bernoulli(pi) two-candidate prior: 1 - R_f(pi), by
-    conjugacy at every delta, as 1 - R_f needs only absolute precision."""
-    d = _conjugate_delta(f, pi)
-    r = bayes_error(f, pi) if d is None else min(pi, 1.0 - pi) * (1.0 - d)
+    """Success against a Bernoulli(pi) two-candidate prior: 1 - R_f(pi).
+    At 1/2 <= pi < 1 it reads R_f(pi) = (1 - pi) (1 - delta(logit pi)), by
+    f-delta conjugacy (Dong, Roth & Su, JRSS-B 2022), which holds on every
+    curve there; 1 - R_f needs only absolute precision."""
+    if 0.5 <= pi < 1.0:
+        r = (1.0 - pi) * (1.0 - delta_for_epsilon(f, _logit(pi)))
+    else:
+        r = bayes_error(f, pi)
     return float(min(1.0, 1.0 - r))
 
 

@@ -3,7 +3,9 @@
 A trade-off curve maps the false-positive rate alpha of the optimal
 membership-inference test to the minimal achievable false-negative rate.
 Every curve here is convex, continuous, non-increasing, and satisfies
-0 <= f(alpha) <= 1 - alpha on [0, 1].
+0 <= f(alpha) <= 1 - alpha on [0, 1]. Each carries its own privacy profile
+delta(eps) and Bayes error R_f(pi), in closed form or over its knots, so
+no derived quantity needs a numeric optimizer.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -93,8 +95,12 @@ class TradeoffCurve:
     """A convex, non-increasing trade-off function on [0, 1].
 
     Either analytic (``fn`` set, evaluated exactly) or piecewise linear
-    (``knots`` set, linearly interpolated). ``delta`` is the curve's privacy
-    profile eps -> delta(eps) in closed form, where its family has one.
+    (``knots`` set, linearly interpolated). Every curve carries two
+    readings: ``delta``, its privacy profile eps -> delta(eps) =
+    max_alpha (1 - f(alpha) - e^eps alpha), and ``bayes``, its Bayes error
+    pi -> R_f(pi) = min_alpha (pi alpha + (1 - pi) f(alpha)) for 0 < pi < 1.
+    An analytic curve brings both in closed form; a piecewise one takes
+    the maximum and the minimum over its knots unless it brings its own.
     """
 
     provenance: str
@@ -102,6 +108,8 @@ class TradeoffCurve:
         default=None, repr=False, compare=False)
     knots: np.ndarray | None = dataclasses.field(default=None, repr=False)
     delta: Callable[[float], float] | None = dataclasses.field(
+        default=None, repr=False, compare=False)
+    bayes: Callable[[float], float] | None = dataclasses.field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,6 +122,19 @@ class TradeoffCurve:
             if np.any(np.diff(k[:, 0]) <= 0):
                 raise ParameterError("knot alphas must be strictly increasing")
             object.__setattr__(self, "knots", k)
+        if self.fn is not None:
+            if self.delta is None or self.bayes is None:
+                raise ParameterError("an analytic curve needs delta and bayes")
+            return
+        a, b = self.knots[:, 0], self.knots[:, 1]
+
+        def delta_at(eps):
+            d = float(np.max(1.0 - b - math.exp(min(eps, 700)) * a))
+            return float(min(1.0, max(0.0, d)))
+
+        object.__setattr__(self, "delta", self.delta or delta_at)
+        object.__setattr__(self, "bayes", self.bayes or (
+            lambda pi: float(np.min(pi * a + (1.0 - pi) * b))))
 
     def __call__(self, alpha):
         a = np.asarray(alpha, dtype=float)
@@ -184,9 +205,13 @@ class PrivacyProfile:
 # constructors
 
 def _zero_curve(provenance: str) -> TradeoffCurve:
-    """The blatantly non-private curve f = 0, with delta(eps) = 1."""
+    """The blatantly non-private curve f = 0: delta(eps) = 1, R_f = 0."""
     return TradeoffCurve(provenance=provenance, fn=lambda a: np.zeros_like(a),
-                         delta=lambda eps: 1.0)
+                         delta=lambda eps: 1.0, bayes=lambda pi: 0.0)
+
+
+def _logit(pi: float) -> float:
+    return math.log(pi / (1.0 - pi))
 
 
 def curve_from_epsilon_delta(epsilon: float, delta: float) -> TradeoffCurve:
@@ -215,8 +240,11 @@ def curve_from_epsilon_delta(epsilon: float, delta: float) -> TradeoffCurve:
         d = delta + (e_pos - math.exp(eps)) * ((1.0 - delta) / (1.0 + e_pos))
         return float(min(1.0, max(delta, d)))
 
+    def bayes(pi):
+        return (1.0 - delta) * min(pi, 1.0 - pi, 1.0 / (1.0 + e_pos))
+
     return TradeoffCurve(provenance=f"eps_delta(eps={epsilon!r}, delta={delta!r})",
-                         fn=fn, delta=delta_at)
+                         fn=fn, delta=delta_at, bayes=bayes)
 
 
 def _upper_envelope_of_lines(slopes: np.ndarray, intercepts: np.ndarray):
@@ -265,10 +293,12 @@ def curve_from_profile(profile: PrivacyProfile) -> TradeoffCurve:
 def gaussian_curve(mu: float) -> TradeoffCurve:
     """Exact trade-off of a unit-sensitivity Gaussian pair at separation mu.
 
-    f(a) = Phi(Phi^-1(1 - a) - mu).
+    f(a) = Phi(Phi^-1(1 - a) - mu); mu = inf yields the zero curve.
     """
     if not (mu >= 0):
         raise ParameterError(f"mu must be >= 0, got {mu}")
+    if math.isinf(mu):
+        return _zero_curve(f"gaussian(mu={mu!r})")
     from scipy.special import log_ndtr, ndtr, ndtri  # loaded on first use
 
     def fn(a):
@@ -285,8 +315,15 @@ def gaussian_curve(mu: float) -> TradeoffCurve:
         d = ndtr(-epsilon / mu + mu / 2.0) - tail
         return float(min(1.0, max(0.0, d)))
 
+    def bayes(pi):
+        # the likelihood-ratio test's error at z: two tails, no cancellation
+        if mu == 0.0:
+            return min(pi, 1.0 - pi)
+        z = _logit(pi) / mu + mu / 2.0
+        return float(pi * ndtr(-z) + (1.0 - pi) * ndtr(z - mu))
+
     return TradeoffCurve(provenance=f"gaussian(mu={mu!r})", fn=fn,
-                         delta=delta_at)
+                         delta=delta_at, bayes=bayes)
 
 
 def laplace_curve(epsilon: float) -> TradeoffCurve:
@@ -298,6 +335,8 @@ def laplace_curve(epsilon: float) -> TradeoffCurve:
     """
     if not (epsilon >= 0):
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
+    if math.isinf(epsilon):  # point masses at 0 and 1
+        return _zero_curve(f"laplace(eps={epsilon!r})")
     e_pos, e_neg = _exp(epsilon), math.exp(-epsilon)
 
     def fn(a):
@@ -310,13 +349,19 @@ def laplace_curve(epsilon: float) -> TradeoffCurve:
     def delta_at(eps):  # 1 - e^((eps - epsilon) / 2) below epsilon, else 0
         return max(0.0, -math.expm1(min(0.0, eps - epsilon) / 2.0))
 
+    def bayes(pi):  # min(pi, 1 - pi) (1 - delta(|logit pi|)), no log taken
+        return min(pi, 1.0 - pi,
+                   math.sqrt(pi * (1.0 - pi)) * math.exp(-epsilon / 2.0))
+
     return TradeoffCurve(provenance=f"laplace(eps={epsilon!r})", fn=fn,
-                         delta=delta_at)
+                         delta=delta_at, bayes=bayes)
 
 
 def piecewise_curve(alphas, betas, provenance: str = "piecewise") -> TradeoffCurve:
     """Piecewise-linear curve through (alpha, beta) knots, convexified."""
     a = np.asarray(alphas, dtype=float)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ParameterError("knot alphas must lie in [0, 1]")
     b = np.clip(np.asarray(betas, dtype=float), 0.0, 1.0)
     a, b = lower_convex_hull(a, b)
     if a[0] > 0.0:
@@ -331,36 +376,6 @@ def piecewise_curve(alphas, betas, provenance: str = "piecewise") -> TradeoffCur
 
 # --------------------------------------------------------------------------
 # numeric helpers
-
-_MAX_STEPS = np.linspace(0.0, 1.0, 65)  # one round of _concave_max
-
-
-def _concave_max(g: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Maximum of a concave g (vectorized) on [0, 1]: the best value seen.
-
-    The maximum of a concave function lies between the grid neighbours of
-    its grid argmax (Kiefer, Proc. AMS 1953), or of its first and last
-    argmax on ties; ties that are not neighbours mark a flat top, which is
-    the maximum. Each round samples 65 points on the bracket and narrows
-    it to those neighbours, until the bracket no longer shrinks.
-    """
-    lo, hi = 0.0, 1.0
-    last = _MAX_STEPS.size - 1
-    best = -math.inf
-    while True:
-        xs = lo + (hi - lo) * _MAX_STEPS
-        xs[last] = hi
-        ys = g(xs)
-        i, j = int(ys.argmax()), last - int(ys[::-1].argmax())
-        best = max(best, float(ys[i]))
-        if j - i > 1:
-            return best
-        bracket = (max(lo, float(xs[max(i - 1, 0)])),
-                   min(hi, float(xs[min(j + 1, last)])))
-        if bracket == (lo, hi):
-            return best
-        lo, hi = bracket
-
 
 def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
             tol: float = 0.0) -> float:
@@ -436,43 +451,13 @@ def tv_from_curve(f: TradeoffCurve) -> float:
     return delta_for_epsilon(f, 0.0)
 
 
-def group_privacy(f: TradeoffCurve, k: int) -> TradeoffCurve:
-    """Trade-off guarantee against k simultaneous record changes.
-
-    f^(k) = 1 - (1 - f) iterated k times; k = 1 returns f unchanged.
-    """
-    if k < 1:
-        raise ParameterError(f"group order must be >= 1, got {k}")
-    if k == 1:
-        return f
-
-    def fn(a):
-        x = np.asarray(a, dtype=float)
-        for _ in range(k):
-            x = 1.0 - f(x)
-        return 1.0 - x
-
-    return TradeoffCurve(provenance=f"group(k={k}, base={f.provenance})", fn=fn)
-
-
 def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
-    """Smallest delta at which f dominates the (epsilon, delta) curve.
-
+    """Smallest delta at which f dominates the (epsilon, delta) curve:
     delta(eps) = max_alpha (1 - f(alpha) - e^eps * alpha), by convex
-    conjugacy: the curve's own closed form ``f.delta`` where it has one, else
-    the maximum over its knots or a numeric maximum of the analytic form.
-    """
+    conjugacy, read off the curve's own ``f.delta``."""
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-    if f.delta is not None:
-        return f.delta(epsilon)
-    e_eps = math.exp(min(epsilon, 700))
-    if f.is_piecewise:
-        a, b = f.knots[:, 0], f.knots[:, 1]
-        d = float(np.max(1.0 - b - e_eps * a))
-    else:
-        d = _concave_max(lambda a: 1.0 - f(a) - e_eps * a)
-    return float(min(1.0, max(0.0, d)))
+    return f.delta(epsilon)
 
 
 def _epsilon_at_delta(delta_of: Callable[[float], float],
@@ -501,17 +486,6 @@ def gaussian_mu_at(epsilon: float, delta: float) -> float:
         raise ParameterError(f"no mu in [1e-4, 80] has delta({epsilon!r}) "
                              f"= {delta!r}")
     return -_solve(delta_of, delta, -80.0, -1e-4, d_lo, d_hi)
-
-
-def profile_from_curve(f: TradeoffCurve, epsilons: Sequence[float]) -> PrivacyProfile:
-    """Privacy profile of a curve on an epsilon grid."""
-    eps = np.asarray(epsilons, dtype=float)
-    if eps.size == 0:
-        raise ParameterError("epsilon grid must be non-empty")
-    if np.any(eps < 0):
-        raise ParameterError("epsilon grid must be non-negative")
-    deltas = np.array([delta_for_epsilon(f, e) for e in eps])
-    return PrivacyProfile.from_points(eps, deltas)
 
 
 # --------------------------------------------------------------------------
@@ -547,11 +521,16 @@ def _read_csv_rows(inp, expected_header: tuple[str, str]) -> np.ndarray:
     if not lines:
         raise ParameterError("empty CSV input")
     start = 1 if lines[0].replace(" ", "").lower() == ",".join(expected_header) else 0
-    try:
-        rows = np.array([[float(v) for v in ln.split(",")[:2]]
-                         for ln in lines[start:]])
-    except ValueError as exc:
-        raise ParameterError(f"malformed CSV row: {exc}") from None
-    if rows.size == 0:
+    rows = []
+    for ln in lines[start:]:
+        fields = ln.split(",")
+        try:
+            rows.append([float(fields[0]), float(fields[1])])
+        except (IndexError, ValueError) as exc:
+            raise ParameterError(f"malformed CSV row {ln!r}: {exc}") from None
+    if not rows:
         raise ParameterError("CSV contains no data rows")
+    rows = np.array(rows)
+    if np.isnan(rows).any():
+        raise ParameterError("CSV values must not be NaN")
     return rows

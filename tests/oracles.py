@@ -106,6 +106,38 @@ def laplace_delta_hp(eps0, eps) -> float:
     return float(max(0, g1, g2))
 
 
+def laplace_bayes_hp(eps0, pi):
+    """R_f(pi) of the unit-shift Laplace(1/eps0) pair at 50 digits, as an
+    mpf: the Bayes error of P (prior pi) against Q, the integral of
+    min(pi p, (1 - pi) q), with the densities' kinks and their crossing as
+    breakpoints."""
+    b, pi = 1 / mpmath.mpf(eps0), mpmath.mpf(pi)
+
+    def lap(x, loc):
+        return mpmath.e**(-abs(x - loc) / b) / (2 * b)
+
+    cross = (1 - b * mpmath.log((1 - pi) / pi)) / 2
+    points = [-mpmath.inf, 0] + ([cross] if 0 < cross < 1 else []) \
+        + [1, mpmath.inf]
+    return mpmath.quad(lambda x: min(pi * lap(x, 0), (1 - pi) * lap(x, 1)),
+                       points)
+
+
+def discrete_bayes_hp(p, q, pi):
+    """R_f(pi) of a finite pair at 50 digits, as an mpf: the sum of
+    min(pi p_i, (1 - pi) q_i) over outcomes."""
+    pi = mpmath.mpf(pi)
+    return mpmath.fsum(min(pi * a, (1 - pi) * b) for a, b in zip(p, q))
+
+
+def eps_delta_pair_hp(eps, delta):
+    """The four-outcome pair whose trade-off is the (eps, delta) curve
+    (Kairouz, Oh & Viswanath, ICML 2015), as mpf masses."""
+    e, d = mpmath.e**mpmath.mpf(eps), mpmath.mpf(delta)
+    p = [d, (1 - d) * e / (1 + e), (1 - d) / (1 + e), mpmath.mpf(0)]
+    return p, p[::-1]
+
+
 def pld_of_gaussian(mu, grid_step) -> PldGrid:
     """Discretized loss distribution of a mu-separated Gaussian pair, a
     test input for the PLD path whose composition has a closed form.
@@ -147,6 +179,37 @@ def grid_max(g, lo=0.0, hi=1.0, n=20001, rounds=6):
 def grid_min(g, lo=0.0, hi=1.0, n=20001, rounds=6):
     best, x = grid_max(lambda v: -g(v), lo, hi, n, rounds)
     return -best, x
+
+
+_MAX_STEPS = np.linspace(0.0, 1.0, 65)  # one round of concave_max
+
+
+def concave_max(g) -> float:
+    """Maximum of a concave g (vectorized) on [0, 1]: the best value seen.
+
+    The maximum of a concave function lies between the grid neighbours of
+    its grid argmax (Kiefer, Proc. AMS 1953), or of its first and last
+    argmax on ties; ties that are not neighbours mark a flat top, which is
+    the maximum. Each round samples 65 points on the bracket and narrows
+    it to those neighbours, until the bracket no longer shrinks. The
+    numeric conjugate that the curves' closed forms are checked against.
+    """
+    lo, hi = 0.0, 1.0
+    last = _MAX_STEPS.size - 1
+    best = -math.inf
+    while True:
+        xs = lo + (hi - lo) * _MAX_STEPS
+        xs[last] = hi
+        ys = g(xs)
+        i, j = int(ys.argmax()), last - int(ys[::-1].argmax())
+        best = max(best, float(ys[i]))
+        if j - i > 1:
+            return best
+        bracket = (max(lo, float(xs[max(i - 1, 0)])),
+                   min(hi, float(xs[min(j + 1, last)])))
+        if bracket == (lo, hi):
+            return best
+        lo, hi = bracket
 
 
 def np_tradeoff_points(p, q):

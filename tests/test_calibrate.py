@@ -239,7 +239,7 @@ _RHOS = (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0,
 
 def _zcdp_concave_max(rho):
     """The zcdp worst case by the numeric concave maximizer."""
-    return max(0.0, T._concave_max(lambda b: P.srr_bound_zcdp(b, rho) - b))
+    return max(0.0, oracles.concave_max(lambda b: P.srr_bound_zcdp(b, rho) - b))
 
 
 def test_worst_case_zcdp_against_oracle():

@@ -272,6 +272,29 @@ def test_tradeoff_profile_file(tmp_path, capsys):
     assert out.startswith("alpha,f\n")
 
 
+def test_malformed_csv_files_exit_2(tmp_path, capsys):
+    # a one-column file, a NaN alpha and an alpha past 1: exit 2 with a
+    # message from every reader of a curve or profile file
+    texts = {"one_column": "alpha,f\n0.1\n0.5\n",
+             "nan_alpha": "0,1\nnan,0.5\n1,0\n",
+             "alpha_past_one": "0,1\n1.5,0\n"}
+    for name, text in texts.items():
+        csv = tmp_path / f"{name}.csv"
+        csv.write_text(text)
+        scn = tmp_path / f"{name}.cfg"
+        scn.write_text(f"[mechanism]\ncurve_file = {csv}\n"
+                       "[baselines]\nb = fixed:0.1\n[methods]\nmethods = fdp\n")
+        argvs = [("tradeoff", "--curve", str(csv)),
+                 ("bound", "--scenario", str(scn))]
+        if name == "one_column":
+            argvs.append(("tradeoff", "--profile", str(csv)))
+        for argv in argvs:
+            code = cli.main(list(argv))
+            err = capsys.readouterr().err
+            assert code == 2, (argv, err)
+            assert err.startswith("error: ")
+
+
 def test_tradeoff_mechanism_spec_file(tmp_path, capsys):
     section = {"family": "laplace", "noise_scale": "5.0",
                "sensitivity": "1.0", "compositions": "3",
@@ -440,6 +463,9 @@ _EDGE_INPUTS = [
     ("queries", "--sensitivity", "0"),
     ("tradeoff", "--gaussian-mu", "1", "--grid-points", "-5"),
     ("tradeoff", "--laplace-eps", "nan"),
+    ("tradeoff", "--gaussian-mu", "inf"),
+    ("verify", "--pairs", "0"),
+    ("verify", "--pairs", "-1"),
     ("calibrate", "--family", "gaussian", "--target-adv", "0.1",
      "--compositions", "0"),
     ("calibrate", "--family", "gaussian", "--target-adv", "0.1",
@@ -452,6 +478,13 @@ def test_edge_inputs_exit_with_a_code(capsys, argv):
     # an input the parser accepts ends in a documented exit code, never in
     # an exception escaping main
     assert cli.main(list(argv)) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_verify_without_pairs_is_config_error(capsys, pairs):
+    code, out = run(capsys, "verify", "--pairs", pairs)
+    assert code == 2
+    assert "PASSED" not in out
 
 
 def test_bound_randomized_response_many_compositions(tmp_path, capsys):

@@ -163,6 +163,74 @@ def test_bayes_error_gaussian_closed_form():
         assert got == pytest.approx(oracles.normal_cdf_hp(-mu / 2), abs=2e-16)
 
 
+_PIS = (1e-6, 0.3, 0.5, 0.99)
+
+
+def _bayes_cases():
+    """(curve, 50-digit R_f(pi) at pi) for the closed forms besides the
+    Gaussian at mu > 0, which the tests above check."""
+    # at eps = 60, R_f(1/2) = e^-30 / 2, where 1 - delta(0) would cancel
+    for eps in (0.1, 1.0, 5.0, 60.0):
+        yield T.laplace_curve(eps), lambda pi, eps=eps: \
+            oracles.laplace_bayes_hp(eps, pi)
+    for eps, delta in ((0.0, 0.0), (0.5, 1e-3), (3.0, 0.2), (20.0, 1e-9)):
+        p, q = oracles.eps_delta_pair_hp(eps, delta)
+        yield T.curve_from_epsilon_delta(eps, delta), lambda pi, p=p, q=q: \
+            oracles.discrete_bayes_hp(p, q, pi)
+    yield ZERO, lambda pi: oracles.discrete_bayes_hp([1, 0], [0, 1], pi)
+    yield T.gaussian_curve(0.0), lambda pi: \
+        oracles.discrete_bayes_hp([1], [1], pi)
+
+
+@pytest.mark.parametrize("f, hp", [pytest.param(f, hp, id=f.provenance)
+                                   for f, hp in _bayes_cases()])
+def test_bayes_closed_forms_against_mpmath_and_grid(f, hp):
+    for pi in _PIS:
+        got = R.bayes_error(f, pi)
+        with mpmath.workdps(50):
+            want = float(hp(pi))
+        assert abs(got - want) <= 1e-15 * want, (pi, got, want)
+        # a value the curve attains: the closed form may not lie above it
+        grid, _ = oracles.grid_min(lambda a: pi * a + (1 - pi) * f(a))
+        assert got <= grid + 2e-16 and grid - got <= 1e-13, (pi, got, grid)
+
+
+@st.composite
+def _knot_clouds(draw):
+    """Points (0, b0), a cloud inside the unit square and (1, 0): most
+    clouds are neither convex nor symmetric."""
+    n = draw(st.integers(0, 12))
+    inner = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                          min_size=n, max_size=n))
+    return [(0.0, draw(st.floats(0.0, 1.0)))] + inner + [(1.0, 0.0)]
+
+
+@given(_knot_clouds(), st.floats(0.0, 20.0), st.floats(1e-9, 1.0 - 1e-9))
+@settings(max_examples=300, deadline=None)
+def test_piecewise_readings_are_the_knot_max_and_min(cloud, eps, pi):
+    f = T.piecewise_curve(*zip(*cloud))
+    e_eps = math.exp(eps)
+    knot_max = max(1.0 - b - e_eps * a for a, b in f.knots)
+    knot_min = min(pi * a + (1.0 - pi) * b for a, b in f.knots)
+    assert T.delta_for_epsilon(f, eps) == min(1.0, max(0.0, knot_max))
+    assert R.bayes_error(f, pi) == knot_min
+    # the hull drops only points at or above it, which neither reading
+    # needs, and conjugacy at pi >= 1/2 is exact on any curve
+    assert knot_max == pytest.approx(
+        max(1.0 - b - e_eps * a for a, b in cloud), abs=1e-15)
+    assert knot_min == pytest.approx(
+        min(pi * a + (1.0 - pi) * b for a, b in cloud), abs=1e-15)
+    assert R.bernoulli_succ_bound(f, pi) == pytest.approx(1.0 - knot_min,
+                                                          abs=1e-15)
+
+
+def test_analytic_curve_needs_both_readings():
+    g = T.gaussian_curve(1.0)
+    for readings in ({}, {"delta": g.delta}, {"bayes": g.bayes}):
+        with pytest.raises(T.ParameterError):
+            T.TradeoffCurve(provenance="bare", fn=g.fn, **readings)
+
+
 def test_bernoulli_succ_bound_examples():
     assert R.bernoulli_succ_bound(IDENT, 0.3) == pytest.approx(0.7)
     assert R.bernoulli_succ_bound(ZERO, 0.4) == pytest.approx(1.0)

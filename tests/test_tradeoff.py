@@ -46,8 +46,10 @@ def test_eps_delta_parameter_errors():
 
 def test_degenerate_inputs_give_zero_curve():
     for f in (T.curve_from_epsilon_delta(math.inf, 0.0),
-              T.curve_from_epsilon_delta(1.0, 1.0)):
+              T.curve_from_epsilon_delta(1.0, 1.0),
+              T.gaussian_curve(math.inf), T.laplace_curve(math.inf)):
         assert f(0.0) == 0.0 and f(0.5) == 0.0
+        assert T.tv_from_curve(f) == 1.0 and f.bayes(0.3) == 0.0
 
 
 @given(eps=st.floats(0.0, 10.0), delta=st.floats(0.0, 1.0))
@@ -124,8 +126,9 @@ def test_profile_envelope_singleton_and_pair():
 
 def test_profile_envelope_approximates_gaussian():
     g = T.gaussian_curve(1.0)
-    prof = T.profile_from_curve(g, np.arange(0.0, 6.001, 0.1))
-    env = T.curve_from_profile(prof)
+    grid = np.arange(0.0, 6.001, 0.1)
+    env = T.curve_from_profile(
+        T.PrivacyProfile.from_points(grid, [g.delta(e) for e in grid]))
     a = np.linspace(0.0, 1.0, 20001)
     gap = g(a) - env(a)
     assert np.all(gap >= -1e-10), "envelope must stay below the exact curve"
@@ -203,15 +206,6 @@ def test_tv_gaussian_and_laplace():
         assert T.tv_from_curve(f) == pytest.approx(ref, abs=1e-9)
 
 
-def test_tv_generic_path_matches_closed_form():
-    # force the generic maximizer by wrapping the analytic function
-    g = T.gaussian_curve(1.0)
-    generic = T.TradeoffCurve(provenance="wrapped", fn=g.fn)
-    from scipy.stats import norm
-    assert T.tv_from_curve(generic) == pytest.approx(
-        2 * norm.cdf(0.5) - 1, abs=1e-9)
-
-
 _ETA_CURVES = [
     T.gaussian_curve(0.0), T.gaussian_curve(0.5), T.gaussian_curve(1.0),
     T.gaussian_curve(8.0), T.laplace_curve(1e-6), T.laplace_curve(1.0),
@@ -219,7 +213,6 @@ _ETA_CURVES = [
     T.curve_from_epsilon_delta(1.0, 1e-5), T.curve_from_epsilon_delta(800.0, 0.1),
     T.curve_from_epsilon_delta(math.inf, 0.0),
     T.piecewise_curve([0.0, 0.2, 1.0], [1.0, 0.3, 0.0]),
-    T.group_privacy(T.gaussian_curve(0.5), 3),
     A.randomized_response_curve(0.3, 18),
 ]
 
@@ -233,14 +226,18 @@ _CLOSED_FORM_MISSES = {("gaussian(mu=0.5)", 0.5)}
     pytest.param(f, eps, id=f"{f.provenance}-{eps}", marks=[
         pytest.mark.xfail(strict=True, reason="closed form 2.5e-16 below")]
         if (f.provenance, eps) in _CLOSED_FORM_MISSES else [])
-    for f in _ETA_CURVES if f.delta is not None for eps in (0.0, 0.5, 2.0)])
+    for f in _ETA_CURVES for eps in (0.0, 0.5, 2.0)])
 def test_closed_form_delta_is_the_conjugate_of_fn(f, eps):
     # the numeric maximum over the curve's own fn, or the maximum over its
     # own knots, is a value the curve attains, so a closed form may not
     # fall below it
     closed = T.delta_for_epsilon(f, eps)
-    numeric = T.delta_for_epsilon(
-        T.TradeoffCurve(provenance="wrapped", fn=f.fn, knots=f.knots), eps)
+    e_eps = math.exp(min(eps, 700))
+    if f.is_piecewise:
+        numeric = float(np.max(1.0 - f.knots[:, 1] - e_eps * f.knots[:, 0]))
+    else:
+        numeric = oracles.concave_max(lambda a: 1.0 - f(a) - e_eps * a)
+    numeric = min(1.0, max(0.0, numeric))
     assert closed >= numeric - 2e-16
     assert abs(closed - numeric) <= 1e-9
 
@@ -280,7 +277,7 @@ def test_concave_max_piecewise_linear(peak, top, up, down, extra):
                  + [top + c + s * d for c, s in extra])
         return np.min(lines, axis=0)
 
-    got = T._concave_max(g)
+    got = oracles.concave_max(g)
     assert got <= top
     steepest = max(up + down + [abs(s) for _, s in extra])
     assert top - got <= 4.5e-16 * (1.0 + steepest)
@@ -288,12 +285,12 @@ def test_concave_max_piecewise_linear(peak, top, up, down, extra):
 
 def test_concave_max_ties_and_peaks():
     # two neighbouring grid points tie, with the peak between them
-    assert T._concave_max(lambda x: -np.abs(x - (0.5 + 1 / 128))) == 0.0
+    assert oracles.concave_max(lambda x: -np.abs(x - (0.5 + 1 / 128))) == 0.0
     # a flat top
-    assert T._concave_max(lambda x: np.minimum(0.25, 1.0 - x)) == 0.25
+    assert oracles.concave_max(lambda x: np.minimum(0.25, 1.0 - x)) == 0.25
     # an interior peak off the grid, and a peak at an end
-    assert T._concave_max(lambda x: -(x - 0.3) ** 2) == 0.0
-    assert T._concave_max(lambda x: x) == 1.0
+    assert oracles.concave_max(lambda x: -(x - 0.3) ** 2) == 0.0
+    assert oracles.concave_max(lambda x: x) == 1.0
 
 
 # ------------------------------------------------------------ root finder
@@ -323,50 +320,12 @@ def test_bisect_on_threshold_predicates(ends, frac, tol):
         assert got == t
 
 
-# ----------------------------------------------------------- group privacy
-
-def test_group_privacy_identity_and_fixed_points():
-    f = T.curve_from_epsilon_delta(0.0, 0.0)
-    assert T.group_privacy(f, 1) is f
-    g7 = T.group_privacy(f, 7)
-    a = np.linspace(0, 1, 101)
-    assert np.allclose(g7(a), 1.0 - a, atol=1e-12)
-    zero = T.curve_from_epsilon_delta(math.inf, 0.0)
-    assert T.group_privacy(zero, 3)(0.4) == pytest.approx(0.0, abs=1e-12)
-    # f^(5) = 1 - (1 - f) iterated five times, by hand
-    g = T.curve_from_epsilon_delta(0.1, 0.0)
-    x = 0.2
-    for _ in range(5):
-        x = 1.0 - g(x)
-    assert T.group_privacy(g, 5)(0.2) == pytest.approx(1.0 - x, abs=1e-12)
-
-
-def test_group_privacy_sandwich():
-    f = T.curve_from_epsilon_delta(0.5, 0.0)
-    g2 = T.group_privacy(f, 2)
-    upper = f(GRID)
-    lower = T.curve_from_epsilon_delta(1.0, 0.0)(GRID)
-    mid = g2(GRID)
-    assert np.all(mid <= upper + 1e-12)
-    assert np.all(mid >= lower - 1e-12)
-
-
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_group_privacy_preserves_invariants(k):
-    f = T.curve_from_epsilon_delta(0.3, 1e-3)
-    check_curve_invariants(T.group_privacy(f, k))
-
-
-def test_group_privacy_rejects_bad_order():
-    with pytest.raises(T.ParameterError):
-        T.group_privacy(T.gaussian_curve(1.0), 0)
-
-
 # ------------------------------------------------------------------ profiles
 
 def test_profile_from_curve_trivial_and_roundtrip():
     ident = T.curve_from_epsilon_delta(0.0, 0.0)
-    prof = T.profile_from_curve(ident, [0.0, 1.0, 5.0])
+    grid = [0.0, 1.0, 5.0]
+    prof = T.PrivacyProfile.from_points(grid, [ident.delta(e) for e in grid])
     assert np.allclose(prof.deltas, 0.0, atol=1e-12)
     f = T.curve_from_epsilon_delta(1.0, 1e-5)
     assert T.delta_for_epsilon(f, 1.0) == pytest.approx(1e-5, abs=1e-12)
@@ -480,7 +439,9 @@ def test_large_epsilon_curves_without_overflow():
             d = [T.delta_for_epsilon(f, x) for x in (10.0, eps - 1.0, eps, 2 * eps)]
             assert d[0] == 1.0 and d[2:] == [0.1, 0.1]
             assert abs(d[1] - (0.1 - 0.9 * math.expm1(-1.0))) <= 1e-15
-            assert np.array_equal(T.profile_from_curve(f, [10.0, eps]).deltas, [1.0, 0.1])
+            prof = T.PrivacyProfile.from_points(
+                [10.0, eps], [f.delta(10.0), f.delta(eps)])
+            assert np.array_equal(prof.deltas, [1.0, 0.1])
             v = T.laplace_curve(eps)(a)
             e_neg = math.exp(-eps)
             assert v[0] == 1.0 and v[1] == 0.0  # below 1 - e^eps a > 1/2
@@ -495,22 +456,25 @@ def test_laplace_delta_closed_form_against_oracle():
             got = T.delta_for_epsilon(f, eps)
             assert abs(got - oracles.laplace_delta_hp(eps0, eps)) <= 1e-15
             # the numeric maximum it replaced can only come out low
-            old = T._concave_max(lambda a: 1.0 - f(a) - math.exp(eps) * a)
+            old = oracles.concave_max(lambda a: 1.0 - f(a) - math.exp(eps) * a)
             assert got >= min(1.0, max(0.0, old)) - 2e-16
 
 
 def test_profile_curve_roundtrip_idempotent():
     g = T.gaussian_curve(1.0)
     eps_grid = np.linspace(0.0, 6.0, 400)
-    prof = T.profile_from_curve(g, eps_grid)
+    prof = T.PrivacyProfile.from_points(eps_grid, [g.delta(e) for e in eps_grid])
     env = T.curve_from_profile(prof)
-    prof2 = T.profile_from_curve(env, eps_grid)
+    prof2 = T.PrivacyProfile.from_points(eps_grid,
+                                         [env.delta(e) for e in eps_grid])
     assert np.max(np.abs(prof.deltas - prof2.deltas)) < 1e-9
 
 
 def test_profile_envelope_lower_bounds_curve():
     g = T.gaussian_curve(1.0)
-    env = T.curve_from_profile(T.profile_from_curve(g, np.linspace(0, 6, 1500)))
+    grid = np.linspace(0, 6, 1500)
+    env = T.curve_from_profile(
+        T.PrivacyProfile.from_points(grid, [g.delta(e) for e in grid]))
     a = np.linspace(0.01, 0.99, 4001)
     gap = g(a) - env(a)
     assert np.all(gap >= -1e-10)
@@ -547,10 +511,20 @@ def test_profile_csv_roundtrip():
 
 
 def test_malformed_csv_rejected():
-    with pytest.raises(T.ParameterError):
-        T.curve_from_csv("alpha,f\n0.1,not_a_number\n")
-    with pytest.raises(T.ParameterError):
-        T.curve_from_csv("")
+    for read, text in (
+            (T.curve_from_csv, "alpha,f\n0.1,not_a_number\n"),
+            (T.curve_from_csv, ""),
+            (T.curve_from_csv, "alpha,f\n0.1\n0.5\n"),  # one field a row
+            (T.curve_from_csv, "0,1\n0.2\n1,0\n"),
+            (T.profile_from_csv, "epsilon,delta\n1\n"),
+            (T.curve_from_csv, "0,1\nnan,0.5\n1,0\n"),  # NaN alpha
+            (T.curve_from_csv, "0,1\n0.5,nan\n1,0\n"),
+            (T.profile_from_csv, "0,nan\n1,0.1\n"),
+            (T.profile_from_csv, "nan,0.1\n"),
+            (T.curve_from_csv, "0,1\n1.5,0\n"),  # alpha outside [0, 1]
+            (T.curve_from_csv, "-0.1,1\n1,0\n")):
+        with pytest.raises(T.ParameterError):
+            read(text)
 
 
 # -------------------------------------------------------------- piecewise
