@@ -234,8 +234,8 @@ def randomized_response_curve(p: float, k: int = 1) -> TradeoffCurve:
     The number of 1s among the k answers is sufficient: it is
     Binomial(k, 1 - p) when the true bit is 1 and Binomial(k, p) when it is
     0, so the curve is the Neyman-Pearson curve of that pair (``rr_pair``),
-    and carries that pair's delta(eps). At k = 1 the vertex is (p, p) up to
-    round-off.
+    and carries that pair's delta(eps) and Bayes error, off its pmf. At
+    k = 1 the vertex is (p, p) up to round-off.
     """
     if not 0 < p < 0.5:
         raise ParameterError("flip probability must lie in (0, 0.5)")
@@ -244,7 +244,8 @@ def randomized_response_curve(p: float, k: int = 1) -> TradeoffCurve:
     pmf, delta = rr_pair(k, math.log1p(-p), math.log(p))
     curve = exact_tradeoff(DiscretePair(p=pmf, q=pmf[::-1]))
     return dataclasses.replace(
-        curve, provenance=f"randomized_response(p={p!r}, k={k})", delta=delta)
+        curve, provenance=f"randomized_response(p={p!r}, k={k})", delta=delta,
+        bayes=lambda pi: float(np.minimum(pi * pmf, (1 - pi) * pmf[::-1]).sum()))
 
 
 def curve_of(spec: MechanismSpec, grid_step: float = 1e-4) -> TradeoffCurve:

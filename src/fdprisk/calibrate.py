@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from . import accountant, prior_bounds, risk
 from .accountant import MechanismSpec
 from .risk import BaselineSpec
 from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
-                       _epsilon_at_delta, _exp, curve_from_epsilon_delta,
-                       delta_for_epsilon)
+                       _epsilon_at_delta, delta_for_epsilon)
 
 METHODS = ("fdp", "rdp", "zcdp", "eps_delta")
 _RDP_EPSILON = {"gaussian": prior_bounds.gaussian_rdp_epsilon,
@@ -62,8 +60,8 @@ class CalibrationRequest:
             raise ParameterError("bracket must satisfy 0 < lo < hi")
         if not self.tolerance > 0:
             raise ParameterError("tolerance must be > 0")
-        if self.rdp_order is not None and not self.rdp_order > 1:
-            raise ParameterError("rdp_order must be > 1")
+        if self.rdp_order is not None:  # the order check of rdp_bound
+            prior_bounds.rdp_bound([0.0], [self.rdp_order])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,27 +74,15 @@ class CalibrationResult:
 # --------------------------------------------------------------------------
 # risk evaluation per method
 
-class PriorBound:
-    """A prior method's success bound at one baseline and its largest
-    advantage over all baselines, computed only when asked.
-    A plain slotted class: ``risk_at`` builds one per noise scale."""
-
-    __slots__ = ("success", "worst_case")
-
-    def __init__(self, success: Callable[[float], float],
-                 worst_case: Callable[[], float]):
-        self.success, self.worst_case = success, worst_case
-
-
 def method_bound(spec: MechanismSpec, method: str,
                  rdp_order: float | None = None,
                  eps_delta_delta: float = 1e-5):
     """The method's risk bound for one mechanism spec.
 
-    For ``fdp`` this is the mechanism's trade-off curve. For ``zcdp``,
-    ``rdp`` and ``eps_delta`` it is a ``PriorBound``; ``eps_delta`` reads off
-    the smallest eps at ``eps_delta_delta`` once, here. ``rdp_order`` pins
-    one RDP order; None takes the best of ``prior_bounds.default_t_grid()``.
+    For ``fdp`` this is the mechanism's trade-off curve, else a
+    ``prior_bounds.PriorBound``; ``eps_delta`` reads off the smallest eps at
+    ``eps_delta_delta`` once, here. ``rdp_order`` pins one RDP order; None
+    takes the best of ``prior_bounds.default_t_grid()``.
     """
     if method == "fdp":
         return accountant.curve_of(spec)
@@ -104,11 +90,11 @@ def method_bound(spec: MechanismSpec, method: str,
     if method == "zcdp":
         if spec.family != "gaussian":
             raise ParameterError("zCDP accounting requires the Gaussian family")
-        rho = (spec.sensitivity / spec.noise_scale) ** 2 * k / 2.0
-        root_rho = math.sqrt(rho)
-        return PriorBound(
-            lambda base: prior_bounds._zcdp_success(base, root_rho),
-            lambda: prior_bounds._zcdp_worst_case(root_rho))
+        try:
+            rho = (spec.sensitivity / spec.noise_scale) ** 2 * k / 2.0
+        except OverflowError:  # beyond the largest float: vacuous
+            rho = math.inf
+        return prior_bounds.zcdp_bound(rho)
     if method == "rdp":
         # mu for the Gaussian, eps for Laplace
         scale = spec.sensitivity / spec.noise_scale
@@ -116,39 +102,19 @@ def method_bound(spec: MechanismSpec, method: str,
         if rdp_epsilon is None:
             raise ParameterError(
                 f"RDP accounting not supported for family {spec.family!r}")
-        grid = (prior_bounds.default_t_grid() if rdp_order is None
-                else np.array([rdp_order]))
-        frac = (prior_bounds._DEFAULT_T_FRAC if rdp_order is None
-                else (grid - 1.0) / grid)
-        eps = rdp_epsilon(grid, scale, k)  # once per spec, not per call
-        return PriorBound(
-            lambda base: prior_bounds._rdp_success(base, eps, frac),
-            lambda: prior_bounds._rdp_worst_case(eps, frac))
+        if rdp_order is not None:
+            grid = np.array([rdp_order])
+            return prior_bounds.rdp_bound(rdp_epsilon(grid, scale, k), grid)
+        # the default grid is valid: no check at each calibration step
+        eps = rdp_epsilon(prior_bounds.default_t_grid(), scale, k)
+        return prior_bounds._rdp_bound(eps, prior_bounds._DEFAULT_T_FRAC)
     if method == "eps_delta":
         # the single-pair curve at the smallest eps at the configured delta
         f = accountant.curve_of(spec)
         eps = _epsilon_at_delta(lambda e: delta_for_epsilon(f, e),
                                 eps_delta_delta)
-        return _eps_delta_bound(eps, eps_delta_delta)
+        return prior_bounds.eps_delta_bound(eps, eps_delta_delta)
     raise ParameterError(f"unknown method {method!r}")
-
-
-def _eps_delta_bound(epsilon: float, delta: float) -> PriorBound:
-    """Success 1 - f(b) of the (epsilon, delta) curve f, read off its pieces
-    as min(delta + e^eps b, 1 - e^-eps (1 - delta - b)), clamped to [b, 1]:
-    neither piece cancels, as 1 - f(b) does where f(b) is near 1. Its worst
-    case is the curve's eta, a closed form."""
-    f = curve_from_epsilon_delta(epsilon, delta)
-    if math.isinf(epsilon):  # f is the zero curve
-        return PriorBound(lambda base: 1.0, lambda: 1.0)
-    e_pos, e_neg = _exp(epsilon), math.exp(-epsilon)
-
-    def success(b):
-        near = delta + (e_pos * b if b > 0.0 else 0.0)  # e_pos may be inf
-        far = e_neg * (delta + b) - math.expm1(-epsilon)
-        return min(max(min(near, far), b), 1.0)
-
-    return PriorBound(success, lambda: risk.adv_bound_worst_case(f))
 
 
 def bound_at(bound, baseline: BaselineSpec) -> tuple[float, float, float]:

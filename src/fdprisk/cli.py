@@ -203,7 +203,7 @@ def _bound_report(mech: tuple, baseline_label: str, baseline: BaselineSpec,
     """One row of the bound table for a ``_mechanism`` triple. ``bounds``
     caches one bound per (method, order): the curve for fdp,
     ``calibrate.method_bound`` for a mechanism spec, and for eps_delta on a
-    bare (epsilon, delta) pair, that pair's own bound."""
+    bare (epsilon, delta) pair, ``prior_bounds.eps_delta_bound``."""
     curve, spec, params = mech
     key = (method, rdp_order)
     if key not in bounds:
@@ -212,8 +212,8 @@ def _bound_report(mech: tuple, baseline_label: str, baseline: BaselineSpec,
         elif spec is not None:
             bounds[key] = calibrate.method_bound(spec, method, rdp_order)
         elif method == "eps_delta" and "epsilon" in params:
-            bounds[key] = calibrate._eps_delta_bound(params["epsilon"],
-                                                     params["delta"])
+            bounds[key] = prior_bounds.eps_delta_bound(params["epsilon"],
+                                                       params["delta"])
         else:
             raise ParameterError(f"method {method_label!r} needs a "
                                  "parametric mechanism spec")
@@ -360,8 +360,9 @@ def _curve_invariant_violations(curve: TradeoffCurve,
 def run_verification(seed: int = 0,
                      n_pairs: int = 60) -> tuple[bool, list[str]]:
     """Oracle corpus: curve invariants, TV consistency, attack soundness."""
-    if n_pairs < 1:
-        raise ParameterError(f"verification needs pairs >= 1, got {n_pairs}")
+    if n_pairs < 1 or seed < 0:
+        raise ParameterError("verification needs pairs >= 1 and seed >= 0, "
+                             f"got {n_pairs} and {seed}")
     rng = np.random.default_rng(seed)
     lines = []
     ok = True

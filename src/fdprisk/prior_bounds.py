@@ -1,22 +1,22 @@
 """Comparison bounds from prior accounting frameworks.
 
-Singling-out and reconstruction bounds stated directly in terms of
-(epsilon, delta), RDP, or zCDP guarantees, plus optimal composition of pure
-DP. These are the baselines the unified trade-off-curve bounds are compared
-against.
+One ``PriorBound`` (success at a base, worst-case advantage) per framework:
+``eps_delta_bound``, ``zcdp_bound`` and ``rdp_bound``; plus singling-out
+under (epsilon, delta), Renyi divergences and optimal composition of pure
+DP. These are the baselines the trade-off-curve bounds are compared against.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
+from . import risk
 from .accountant import rr_pair
 from .tradeoff import (ParameterError, _epsilon_at_delta, _exp, _solve,
-                       _times, lower_convex_hull)
+                       _times, curve_from_epsilon_delta, lower_convex_hull)
 
 
 def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float:
@@ -32,29 +32,48 @@ def pso_bound_eps_delta(n: int, w: float, epsilon: float, delta: float) -> float
     return float(min(1.0, n * (_times(_exp(epsilon), w) + delta)))
 
 
-def srr_bound_zcdp(base, rho: float):
-    """Reconstruction success under rho-zCDP.
+class PriorBound:
+    """A prior framework's success at one baseline and its worst-case
+    advantage, computed when asked; slotted, as ``risk_at`` builds many."""
 
-    exp(-(sqrt(log 1/base) - sqrt(rho))^2) while sqrt(log 1/base) >= sqrt(rho),
-    else vacuous; clamped to [base, 1]. ``base`` may be a scalar or an array
-    of baselines. base = 0 returns the limit 0, with a warning for a scalar
-    base, since the closed form is undefined there.
-    """
-    b = np.asarray(base, dtype=float)
-    if not np.all((b >= 0) & (b <= 1)):
-        raise ParameterError(f"base must lie in [0, 1], got {base}")
+    __slots__ = ("success", "worst_case")
+
+    def __init__(self, success, worst_case):
+        self.success, self.worst_case = success, worst_case
+
+
+def eps_delta_bound(epsilon: float, delta: float) -> PriorBound:
+    """Success 1 - f(b) of the (epsilon, delta) curve f, read off its pieces
+    as min(delta + e^eps b, 1 - e^-eps (1 - delta - b)), clamped to [b, 1]:
+    neither piece cancels, as 1 - f(b) does where f(b) is near 1. Its worst
+    case is the curve's eta, a closed form."""
+    f = curve_from_epsilon_delta(epsilon, delta)
+    if math.isinf(epsilon):  # f is the zero curve
+        return PriorBound(lambda base: 1.0, lambda: 1.0)
+    e_pos, e_neg = _exp(epsilon), math.exp(-epsilon)
+
+    def success(b):
+        near = delta + (e_pos * b if b > 0.0 else 0.0)  # e_pos may be inf
+        far = e_neg * (delta + b) - math.expm1(-epsilon)
+        return min(max(min(near, far), b), 1.0)
+
+    return PriorBound(success, lambda: risk.adv_bound_worst_case(f))
+
+
+def zcdp_bound(rho: float) -> PriorBound:
+    """Reconstruction success under rho-zCDP (Bun & Steinke, TCC 2016):
+    exp(-(sqrt(log 1/base) - sqrt(rho))^2) while sqrt(log 1/base) >=
+    sqrt(rho), else vacuous; clamped to [base, 1], and 0 at base 0."""
     if not rho >= 0:
         raise ParameterError(f"rho must be >= 0, got {rho}")
-    if b.ndim == 0 and b == 0.0:
-        warnings.warn("zCDP reconstruction bound at base=0 returns the limit 0",
-                      stacklevel=2)
-    out = np.vectorize(_zcdp_success, otypes=[float])(b, math.sqrt(rho))
-    return float(out) if out.ndim == 0 else out
+    root_rho = math.sqrt(rho)
+    return PriorBound(lambda base: _zcdp_success(base, root_rho),
+                      lambda: _zcdp_worst_case(root_rho))
 
 
 def _zcdp_success(b: float, root_rho: float) -> float:
-    """``srr_bound_zcdp`` at one valid base: numpy ufuncs on floats round as
-    they do on arrays (math.exp does not)."""
+    """``zcdp_bound`` at one base, in numpy ufuncs: they round as on arrays."""
+    b = risk._check_base(b)
     if b == 0.0:
         return 0.0
     root_log = np.sqrt(-np.log(max(b, 1e-300)))
@@ -65,13 +84,13 @@ def _zcdp_success(b: float, root_rho: float) -> float:
 
 
 def _zcdp_worst_case(s: float) -> float:
-    """max over bases b of ``srr_bound_zcdp(b, rho) - b``, s = sqrt(rho): in
+    """max over bases b of the zCDP success less b, s = sqrt(rho): in
     u = sqrt(log 1/b) >= s, g(u) = e^-d^2 - e^-u^2, d = u - s, at the one
     root of g' in (s, s + 1], as x e^-x^2 <= e^-1 for x >= 1. g' <= 0 reads
     log1p(s/d) <= u^2 - d^2 = s (2u - s), or l / (l + r) <= 1/2 for the two
     sides l and r: no cancellation at small s, no underflow at large s."""
-    if s == 0.0:  # the bound is the base itself
-        return 0.0
+    if s == 0.0 or math.isinf(s):  # the base itself, or vacuous at b > 0
+        return 0.0 if s == 0.0 else 1.0
 
     def share(u):  # falls from 1 at u = s
         if u <= s:
@@ -84,59 +103,44 @@ def _zcdp_worst_case(s: float) -> float:
     return -math.exp(-d * d) * math.expm1(-s * (2.0 * u - s))
 
 
-def _check_rdp_curve(eps, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.asarray(t_grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise ParameterError("t grid must be non-empty")
-    if np.any(grid <= 1):
-        raise ParameterError("all RDP orders must be > 1")
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != grid.shape:
-        raise ParameterError("eps must hold one epsilon per order")
-    if np.any(eps < 0):
-        raise ParameterError("RDP epsilons must be >= 0")
-    return grid, eps
+def rdp_bound(eps, t_grid) -> PriorBound:
+    """Best reconstruction bound over an RDP curve (Mironov, CSF 2017),
+    exp(min(0, min_t (t - 1)/t (log base + eps_t))), from the RDP epsilon of
+    each order in ``t_grid``, checked in Python: cheaper at one order."""
+    eps, frac = np.asarray(eps, dtype=float), []
+    for t in np.asarray(t_grid, dtype=float).ravel().tolist():
+        if not (t > 1 and (t - 1) / t < 1):  # rounds to 1 from t ~ 1e16
+            raise ParameterError(f"RDP order {t} needs 0 < (t - 1)/t < 1")
+        frac.append((t - 1) / t)
+    if not frac or eps.shape != (len(frac),) or not all(
+            e >= 0 for e in eps.tolist()):
+        raise ParameterError("need one RDP epsilon >= 0 per order")
+    return _rdp_bound(eps, np.array(frac))
 
 
-def srr_bound_rdp_curve(base, eps, t_grid):
-    """Best reconstruction bound over an RDP curve: min over orders t.
-    ``base`` may be a scalar or an array of baselines; ``eps`` holds the RDP
-    epsilon of each order in ``t_grid``."""
-    grid, eps = _check_rdp_curve(eps, t_grid)
-    b = np.asarray(base, dtype=float)
-    if np.any((b < 0) | (b > 1)):
-        raise ParameterError("base must lie in [0, 1]")
-    out = np.vectorize(_rdp_success, otypes=[float], excluded={1, 2})(
-        b, eps, (grid - 1.0) / grid)
-    return float(out) if out.ndim == 0 else out
+def _rdp_bound(eps: np.ndarray, frac: np.ndarray) -> PriorBound:
+    """``rdp_bound`` on valid input, frac = (t - 1)/t."""
+    return PriorBound(lambda base: _rdp_success(base, eps, frac),
+                      lambda: _rdp_worst_case(eps, frac))
 
 
 def _rdp_success(b: float, eps: np.ndarray, frac: np.ndarray) -> float:
-    """``srr_bound_rdp_curve`` at one valid base, frac = (t - 1)/t; b = 0
-    gives 0, as log 0 + inf would be NaN."""
+    """``rdp_bound`` at one base; 0 at b = 0, where log 0 + inf is NaN."""
+    b = risk._check_base(b)
     if b == 0.0:
         return 0.0
     return float(np.exp(min(float((frac * (np.log(b) + eps)).min()), 0.0)))
 
 
-def srr_worst_case_rdp(eps, t_grid) -> float:
-    """max over bases b of ``srr_bound_rdp_curve(b, eps, t_grid) - b``, >= 0.
-
-    In u = log b the bound is exp(min(0, min_t s_t (u + eps_t))), s_t =
-    (t - 1)/t: its pieces are the lower convex hull of (0, 0) and the points
-    (s_t, s_t eps_t) of finite eps. On the piece of line (s, c), b^s e^c - b
-    is concave with its peak at u = (c + log s)/(1 - s), clamped to the piece.
-    """
-    grid, eps = _check_rdp_curve(eps, t_grid)
-    return _rdp_worst_case(eps, (grid - 1.0) / grid)
-
-
 def _rdp_worst_case(eps: np.ndarray, frac: np.ndarray) -> float:
-    """``srr_worst_case_rdp`` on valid input, frac = (t - 1)/t. Of rising
-    orders, every point that fails the hull's own test on its consecutive
-    triple drops at once, until none does: the points left are those
-    ``lower_convex_hull`` keeps, to the bit, without its Python loop.
-    Other orders are sorted and merged by the hull first."""
+    """max over bases b of the RDP success less b, >= 0. In u = log b the
+    bound is exp(min(0, min_t s_t (u + eps_t))), s_t = (t - 1)/t: its pieces
+    are the lower convex hull of (0, 0) and the points (s_t, s_t eps_t) of
+    finite eps. On the piece of line (s, c), b^s e^c - b peaks at u =
+    (c + log s)/(1 - s), clamped to the piece. Of rising orders, each point
+    failing the hull's test on its consecutive triple drops at once, until
+    none does: what is left is what ``lower_convex_hull`` keeps, to the bit,
+    without its loop. Other orders go through the hull first."""
     fin = np.isfinite(eps)
     s = frac[fin]
     xs, cs = np.concatenate(([0.0], s)), np.concatenate(([0.0], s * eps[fin]))
@@ -174,15 +178,20 @@ _DEFAULT_T_FRAC = (default_t_grid() - 1.0) / default_t_grid()  # (t - 1)/t
 
 def _check_orders(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if not (t > 1).all():
+    if not t.min(initial=math.inf) > 1:  # (t > 1).all() in one pass
         raise ParameterError(f"order must be > 1, got {t}")
     return t
 
 
 def gaussian_rdp_epsilon(t, mu: float, k: int = 1):
     """Renyi divergence of k composed mu-separated Gaussian pairs,
-    k t mu^2 / 2; ``t`` may be a scalar order or an array of orders."""
-    out = k * _check_orders(t) * mu * mu / 2.0
+    k t mu^2 / 2, inf on overflow; ``t``: a scalar order or an array."""
+    t = _check_orders(t)
+    if k * mu * mu < 1e290 and k < 1e290:  # then no order below 2^54
+        out = k * t * mu * mu / 2.0  # overflows: skip the costly errstate
+    else:  # inf where it overflows, the vacuous bound
+        with np.errstate(over="ignore"):
+            out = k * t * mu * mu / 2.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -191,7 +200,7 @@ def laplace_rdp_epsilon(t, epsilon: float, k: int = 1):
     Laplace(1/epsilon) pairs; ``t`` may be a scalar or an array of orders.
     The log's argument, t/(2t - 1) e^((t - 1) eps) + (t - 1)/(2t - 1)
     e^(-t eps), is 1 + O(eps^2): it is summed less 1, by expm1, so that
-    small epsilons do not cancel."""
+    small epsilons do not cancel, and floored at 0 against round-off."""
     t = _check_orders(t)
     if not epsilon >= 0:
         raise ParameterError("epsilon must be >= 0")
@@ -199,7 +208,7 @@ def laplace_rdp_epsilon(t, epsilon: float, k: int = 1):
     with np.errstate(over="ignore"):  # inf: the vacuous bound at this order
         inner_m1 = (t / t_2) * np.expm1(t_1 * epsilon) \
             + (t_1 / t_2) * np.expm1(t * -epsilon)
-    out = k * np.log1p(inner_m1) / t_1
+    out = k * np.log1p(np.maximum(inner_m1, 0.0)) / t_1
     return float(out) if out.ndim == 0 else out
 
 

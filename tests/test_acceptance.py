@@ -34,9 +34,9 @@ def test_criterion_1_bound_dominance():
         for base in (0.1, 0.25, 0.5):
             cap = 1.0 - base  # saturated bounds cannot be strictly ordered
             a_fdp = R.adv_bound(T.gaussian_curve(mu), base)
-            a_zcdp = max(0.0, P.srr_bound_zcdp(base, mu * mu / 2) - base)
+            a_zcdp = max(0.0, P.zcdp_bound(mu * mu / 2).success(base) - base)
             eps2 = P.gaussian_rdp_epsilon(2.0, mu)
-            a_rdp = max(0.0, P.srr_bound_rdp_curve(base, [eps2], [2.0]) - base)
+            a_rdp = max(0.0, P.rdp_bound([eps2], [2.0]).success(base) - base)
             if not (a_fdp <= a_zcdp + 1e-12 and a_zcdp <= a_rdp + 1e-12):
                 ok = False
                 worst = f"sigma={sigma:.1f} base={base}"

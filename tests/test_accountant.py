@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from fdprisk import accountant as A
+from fdprisk import risk as R
 from fdprisk import tradeoff as T
 
 GRID = np.linspace(0.0, 1.0, 2001)
@@ -92,6 +93,21 @@ def test_randomized_response_delta_against_direct_summation(p, k):
             want = oracles.kov_delta_direct(eps0, k, eps)
         assert abs(T.delta_for_epsilon(f, eps) - want) <= tol * want, eps
     assert T.delta_for_epsilon(f, k * eps0) == 0.0  # no loss above k eps0
+
+
+@pytest.mark.parametrize("p, k, pi", [(0.3, 18, 1e-6), (0.25, 100, 1e-6),
+                                       (0.25, 100, 0.5), (0.3, 18, 0.5),
+                                       (0.3, 1, 0.2)])
+def test_randomized_response_bayes_error_against_mpmath(p, k, pi):
+    # the sum over the pmf of min(pi P, (1 - pi) Q); the knot minimum was
+    # 3.9e-10 low at (0.3, 18, 1e-6) and 1.0e-5 high at (0.25, 100, 1e-6)
+    got = R.bayes_error(A.randomized_response_curve(p, k), pi)
+    with mpmath.workdps(50):
+        pm, w = mpmath.mpf(p), mpmath.mpf(pi)
+        want = sum(mpmath.binomial(k, j) * min(w * (1 - pm) ** j * pm ** (k - j),
+                                               (1 - w) * pm ** j * (1 - pm) ** (k - j))
+                   for j in range(k + 1))
+        assert abs(got - want) <= 3e-14 * want
 
 
 def test_composition_monotonicity():

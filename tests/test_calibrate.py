@@ -33,8 +33,10 @@ def test_request_validation():
         _req(target_value=0.0)
     with pytest.raises(T.ParameterError):
         _req(bracket=(1.0, 0.5))
-    with pytest.raises(T.ParameterError):
-        _req(rdp_order=1.0)
+    for order in (1.0, 1e16, math.inf, math.nan):
+        # (t - 1)/t rounds to 1 at t = 1e16
+        with pytest.raises(T.ParameterError):
+            _req(rdp_order=order)
 
 
 def test_risk_at_closed_forms():
@@ -182,7 +184,7 @@ WORST = R.BaselineSpec.worst_case()
 def test_worst_case_eps_delta_closed_form():
     for eps in (0.0, 0.1, 1.0, 5.0, 10.0):
         for delta in (0.0, 1e-5, 1e-2):
-            bound = C._eps_delta_bound(eps, delta)
+            bound = P.eps_delta_bound(eps, delta)
             e = math.exp(eps)
             want = (e - 1 + 2 * delta) / (e + 1)
             assert C.bound_at(bound, WORST)[2] == pytest.approx(want,
@@ -197,7 +199,7 @@ def test_pso_bound_covers_publishing_one_record(w):
     n = 5000
     pso = R.BaselineSpec.pso_weight(n, w)
     for bound in (T.curve_from_epsilon_delta(0.0, 1.0 / n),
-                  C._eps_delta_bound(0.0, 1.0 / n)):
+                  P.eps_delta_bound(0.0, 1.0 / n)):
         assert C.bound_at(bound, pso)[1] >= (1.0 - w) ** (n - 1)
 
 
@@ -206,7 +208,7 @@ def test_pso_bound_covers_publishing_one_record(w):
 def test_eps_delta_success_is_exact_below_the_kink(eps, delta):
     # the (eps, delta) success bound is delta + e^eps b up to the kink
     # b = (1 - delta)/(1 + e^eps); 1 - f(b) cancels there
-    success = C._eps_delta_bound(eps, delta).success
+    success = P.eps_delta_bound(eps, delta).success
     with mpmath.workdps(50):
         d, e = mpmath.mpf(delta), mpmath.exp(eps)
         for t in (0.0, 1e-9, 1e-3, 0.1, 0.5, 1.0):
@@ -218,7 +220,7 @@ def test_eps_delta_success_is_exact_below_the_kink(eps, delta):
 @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 10.6, 800.0, math.inf])
 def test_pso_eps_delta_is_the_prior_bound_bit_for_bit(eps):
     for delta in (0.0, 1e-10, 1e-5):
-        bound = C._eps_delta_bound(eps, delta)
+        bound = P.eps_delta_bound(eps, delta)
         for n in (10, 500, 5000):
             for w in (0.0, 1e-7, 1e-5, 1.0 / n):
                 pso = R.BaselineSpec.pso_weight(n, w)
@@ -239,7 +241,8 @@ _RHOS = (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0,
 
 def _zcdp_concave_max(rho):
     """The zcdp worst case by the numeric concave maximizer."""
-    return max(0.0, oracles.concave_max(lambda b: P.srr_bound_zcdp(b, rho) - b))
+    success = np.vectorize(P.zcdp_bound(rho).success)
+    return max(0.0, oracles.concave_max(lambda b: success(b) - b))
 
 
 def test_worst_case_zcdp_against_oracle():
@@ -261,7 +264,7 @@ def test_worst_case_zcdp_extremes_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # e^-u^2 underflows beyond rho ~ 745: the maximum tends to 1
-        for rho in (746.0, 1e4, 1e300):
+        for rho in (746.0, 1e4, 1e300, math.inf):
             assert P._zcdp_worst_case(math.sqrt(rho)) == 1.0
         # small rho: 2 u s e^-u^2 peaks at u = 1/sqrt(2), sqrt(2/e) s
         for rho in (1e-300, 1e-30, 1e-12):
@@ -274,23 +277,32 @@ _BASES = st.one_of(st.just(0.0), st.just(1.0), st.just(5e-324),
                    st.floats(0.0, 2.3e-308), st.floats(0.0, 1.0))
 
 
-@given(base=_BASES, sigma=st.one_of(st.just(1e300), st.floats(1e-3, 1e3)),
+def _same_bound(got, want, base):
+    assert got.success(base) == want.success(base)
+    assert got.worst_case() == want.worst_case()
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(T.ParameterError):
+            want.success(bad)
+
+
+@given(base=_BASES,
+       sigma=st.one_of(st.just(1e300), st.just(1e-300), st.floats(1e-3, 1e3)),
        k=st.integers(1, 64))
 @settings(max_examples=200, deadline=None)
 def test_zcdp_success_is_the_public_bound_bit_for_bit(base, sigma, k):
-    # sigma = 1e300 underflows rho to 0
+    # sigma = 1e300 underflows rho to 0; 1e-300 overflows it to inf
     bound = C.method_bound(A.MechanismSpec("gaussian", sigma, compositions=k),
                            "zcdp")
-    rho = (1.0 / sigma) ** 2 * k / 2.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the base = 0 warning
-        want = P.srr_bound_zcdp(base, rho)
-    assert bound.success(base) == want
-    assert want == P.srr_bound_zcdp(np.array([base]), rho)[0]
+    try:
+        rho = (1.0 / sigma) ** 2 * k / 2.0
+    except OverflowError:
+        rho = math.inf
+    _same_bound(bound, P.zcdp_bound(rho), base)
 
 
 @given(base=_BASES, family=st.sampled_from(["gaussian", "laplace"]),
-       sigma=st.floats(1e-3, 1e3), k=st.integers(1, 64),
+       sigma=st.one_of(st.just(1e300), st.just(1e-300), st.floats(1e-3, 1e3)),
+       k=st.integers(1, 64),
        order=st.one_of(st.none(), st.floats(1.0001, 512.0)))
 @settings(max_examples=200, deadline=None)
 def test_rdp_success_is_the_public_bound_bit_for_bit(base, family, sigma, k,
@@ -300,9 +312,18 @@ def test_rdp_success_is_the_public_bound_bit_for_bit(base, family, sigma, k,
                            "rdp", order)
     grid = P.default_t_grid() if order is None else np.array([order])
     eps = C._RDP_EPSILON[family](grid, 1.0 / sigma, k)
-    want = P.srr_bound_rdp_curve(base, eps, grid)
-    assert bound.success(base) == want
-    assert want == P.srr_bound_rdp_curve(np.array([base]), eps, grid)[0]
+    _same_bound(bound, P.rdp_bound(eps, grid), base)
+
+
+def test_prior_bound_constructors_reject_bad_orders_and_shapes():
+    for eps, grid in (([1.0], [1.0]), ([1.0], [0.5]), ([1.0], [0.0]),
+                      ([1.0], [1e16]), ([1.0], [math.inf]), ([1.0], [2.0, 3.0]),
+                      ([[1.0, 2.0]], [2.0, 3.0]), ([], []), ([-1.0], [2.0])):
+        with pytest.raises(T.ParameterError):
+            P.rdp_bound(eps, grid)
+    spec = A.MechanismSpec(family="gaussian", noise_scale=1.0)
+    with pytest.raises(T.ParameterError):
+        C.method_bound(spec, "rdp", 1e16)
 
 
 def test_success_kernels_match_the_vectorized_formulas():

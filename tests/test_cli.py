@@ -470,13 +470,27 @@ _EDGE_INPUTS = [
      "--compositions", "0"),
     ("calibrate", "--family", "gaussian", "--target-adv", "0.1",
      "--methods", "eps_delta", "--delta", "nan"),
+    # rho = (sensitivity / sigma)^2 k / 2 overflows a float
+    ("calibrate", "--family", "gaussian", "--target-adv", "0.2",
+     "--methods", "zcdp", "--sensitivity", "1e200"),
+    ("bound", "--scenario", "tiny_noise.cfg"),
+    # (t - 1)/t rounds to 1
+    ("calibrate", "--family", "gaussian", "--target-adv", "0.2",
+     "--methods", "rdp-t1e16"),
+    ("verify", "--seed", "-1"),
 ]
+# scenario files the edge inputs name, written to the working directory
+_EDGE_SCENARIOS = {"tiny_noise.cfg": GAUSS_SCENARIO.replace(
+    "noise_scale = 1.0", "noise_scale = 1e-200")}
 
 
 @pytest.mark.parametrize("argv", _EDGE_INPUTS, ids=" ".join)
-def test_edge_inputs_exit_with_a_code(capsys, argv):
+def test_edge_inputs_exit_with_a_code(capsys, tmp_path, monkeypatch, argv):
     # an input the parser accepts ends in a documented exit code, never in
     # an exception escaping main
+    for name, text in _EDGE_SCENARIOS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     assert cli.main(list(argv)) in (0, 2, 3, 4)
 
 
@@ -485,6 +499,17 @@ def test_verify_without_pairs_is_config_error(capsys, pairs):
     code, out = run(capsys, "verify", "--pairs", pairs)
     assert code == 2
     assert "PASSED" not in out
+
+
+def test_overflow_and_rounding_edges_exit_codes(capsys):
+    # rho overflows to inf: every bound is vacuous, so the target is
+    # infeasible; an order whose (t - 1)/t rounds to 1 and a negative seed
+    # are config errors
+    gauss = ("calibrate", "--family", "gaussian", "--target-adv", "0.2")
+    assert run(capsys, *gauss, "--methods", "zcdp",
+               "--sensitivity", "1e200")[0] == 3
+    assert run(capsys, *gauss, "--methods", "rdp-t1e16")[0] == 2
+    assert run(capsys, "verify", "--seed", "-1")[0] == 2
 
 
 def test_bound_randomized_response_many_compositions(tmp_path, capsys):

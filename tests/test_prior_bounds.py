@@ -46,77 +46,72 @@ def test_pso_fdp_never_worse_than_eps_delta():
 
 # --------------------------------------------------------------------- SRR
 
+def _rdp_success(base, eps, grid):
+    return P.rdp_bound(eps, grid).success(base)
+
+
 def test_srr_rdp_values():
     # one order: (base e^eps)^((t - 1)/t), capped at 1
-    assert P.srr_bound_rdp_curve(1.0, [0.0], [2.0]) == 1.0
-    assert P.srr_bound_rdp_curve(0.0, [1.0], [2.0]) == 0.0
+    assert _rdp_success(1.0, [0.0], [2.0]) == 1.0
+    assert _rdp_success(0.0, [1.0], [2.0]) == 0.0
     mu = 0.75
     eps = P.gaussian_rdp_epsilon(2.0, mu)
     assert eps == pytest.approx(0.5625)
-    got = P.srr_bound_rdp_curve(0.25, [eps], [2.0])
+    got = _rdp_success(0.25, [eps], [2.0])
     assert got == pytest.approx(math.sqrt(0.25 * math.exp(0.5625)), abs=1e-12)
     assert got == pytest.approx(0.662, abs=1e-3)
     with pytest.raises(T.ParameterError):
-        P.srr_bound_rdp_curve(0.25, [0.5], [1.0])
+        P.rdp_bound([0.5], [1.0])
 
 
 def test_srr_zcdp_values():
-    assert P.srr_bound_zcdp(0.3, 0.0) == pytest.approx(0.3)
-    got = P.srr_bound_zcdp(math.exp(-4.0), 1.0)
+    assert P.zcdp_bound(0.0).success(0.3) == pytest.approx(0.3)
+    got = P.zcdp_bound(1.0).success(math.exp(-4.0))
     assert got == pytest.approx(math.exp(-1.0), abs=1e-12)
     base = 0.2
-    assert P.srr_bound_zcdp(base, math.log(1 / base)) == 1.0
-    with pytest.warns(UserWarning):
-        assert P.srr_bound_zcdp(0.0, 1.0) == 0.0
-    # arrays give the scalar values elementwise, without the base=0 warning
-    bases = np.array([0.0, math.exp(-4.0), 0.2, 0.3, 1.0])
-    for rho in (0.0, 1.0, math.log(1 / 0.2)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = P.srr_bound_zcdp(bases, rho)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            want = [P.srr_bound_zcdp(b, rho) for b in bases]
-        assert np.array_equal(got, want)
+    assert P.zcdp_bound(math.log(1 / base)).success(base) == 1.0
+    assert P.zcdp_bound(1.0).success(0.0) == 0.0  # the limit at base 0
+    for rho in (-1.0, math.nan):
+        with pytest.raises(T.ParameterError):
+            P.zcdp_bound(rho)
     with pytest.raises(T.ParameterError):
-        P.srr_bound_zcdp(np.array([0.1, 1.5]), 1.0)
+        P.zcdp_bound(1.0).success(1.5)
 
 
 def test_srr_rdp_curve_dominance_and_zcdp_match():
     mu = 1.0
     base = 0.1
     dense_grid = np.linspace(1.001, 64, 5000)
-    dense = P.srr_bound_rdp_curve(
-        base, P.gaussian_rdp_epsilon(dense_grid, mu), dense_grid)
-    at_t2 = P.srr_bound_rdp_curve(base, [P.gaussian_rdp_epsilon(2.0, mu)],
-                                  [2.0])
+    dense = _rdp_success(base, P.gaussian_rdp_epsilon(dense_grid, mu),
+                         dense_grid)
+    at_t2 = _rdp_success(base, [P.gaussian_rdp_epsilon(2.0, mu)], [2.0])
     assert dense <= at_t2 + 1e-12
     # the zCDP corollary is the analytic optimum of the Gaussian RDP family
-    assert dense == pytest.approx(P.srr_bound_zcdp(base, mu * mu / 2),
+    assert dense == pytest.approx(P.zcdp_bound(mu * mu / 2).success(base),
                                   abs=1e-6)
-    assert P.srr_bound_rdp_curve(1.0, [1.0, 1.5], [2.0, 3.0]) == 1.0
+    assert _rdp_success(1.0, [1.0, 1.5], [2.0, 3.0]) == 1.0
     for eps, grid in (([], []), ([1.0], [1.0]), ([1.0], [2.0, 3.0]),
                       ([-1.0, 1.0], [2.0, 3.0])):
         with pytest.raises(T.ParameterError):
-            P.srr_bound_rdp_curve(0.1, eps, grid)
+            P.rdp_bound(eps, grid)
     with pytest.raises(T.ParameterError):
-        P.srr_bound_rdp_curve(1.5, [1.0], [2.0])
+        _rdp_success(1.5, [1.0], [2.0])
 
 
 def test_srr_rdp_curve_grid_refinement_monotone():
     coarse_grid = np.array([2.0, 4.0, 8.0])
     fine_grid = np.linspace(1.01, 16, 400)
-    coarse = P.srr_bound_rdp_curve(
+    coarse = _rdp_success(
         0.2, P.gaussian_rdp_epsilon(coarse_grid, 0.8), coarse_grid)
-    fine = P.srr_bound_rdp_curve(
+    fine = _rdp_success(
         0.2, P.gaussian_rdp_epsilon(fine_grid, 0.8), fine_grid)
     assert fine <= coarse + 1e-15
 
 
 def _rdp_worst_oracle(eps, grid) -> float:
-    """max over b of srr_bound_rdp_curve(b) - b by grid search, >= 0."""
-    best, _ = oracles.grid_max(
-        lambda b: P.srr_bound_rdp_curve(b, eps, grid) - b, n=2001, rounds=8)
+    """max over b of the RDP success less b by grid search, >= 0."""
+    success = np.vectorize(P.rdp_bound(eps, grid).success)
+    best, _ = oracles.grid_max(lambda b: success(b) - b, n=2001, rounds=8)
     return max(0.0, best)
 
 
@@ -126,7 +121,7 @@ def test_srr_worst_case_rdp_against_grid_oracle():
         for k in (1, 3, 10):
             for sigma in np.logspace(-1, 2, 7):
                 eps = rdp_epsilon(grid, 1.0 / sigma, k)
-                got = P.srr_worst_case_rdp(eps, grid)
+                got = P.rdp_bound(eps, grid).worst_case()
                 want = _rdp_worst_oracle(eps, grid)
                 assert want - 2.2e-16 <= got <= want + 1e-12
 
@@ -171,7 +166,7 @@ def test_rdp_worst_case_kernel_bits_match_hull_path():
         eps = rng.random(n) * rng.choice([1e-6, 1.0, 10.0])
         eps[rng.random(n) < 0.1] = np.inf
         eps = np.zeros(n) if rng.random() < 0.1 else eps
-        assert P.srr_worst_case_rdp(eps, t) == \
+        assert P.rdp_bound(eps, t).worst_case() == \
             _rdp_worst_case_on_hull(eps, (t - 1.0) / t), (t, eps)
 
 
@@ -180,13 +175,13 @@ def test_srr_worst_case_rdp_edge_cases():
     # every eps 0: the dual points are collinear, the hull keeps only the
     # largest order, and b^s - b peaks at b = s^(1/(1 - s))
     s = (grid[-1] - 1.0) / grid[-1]
-    got = P.srr_worst_case_rdp(np.zeros_like(grid), grid)
+    got = P.rdp_bound(np.zeros_like(grid), grid).worst_case()
     assert got == pytest.approx(s ** (s / (1 - s)) - s ** (1 / (1 - s)),
                                 rel=1e-12)
     assert got >= _rdp_worst_oracle(np.zeros_like(grid), grid) - 2.2e-16
     # one order: an interior peak, or the peak where the bound reaches 1
     for t, e in ((2.0, 0.05), (1.5, 3.0), (64.0, 0.01), (1.0001, 40.0)):
-        got = P.srr_worst_case_rdp([e], [t])
+        got = P.rdp_bound([e], [t]).worst_case()
         want = _rdp_worst_oracle(np.array([e]), np.array([t]))
         assert want - 2.2e-16 <= got <= want + 1e-12
     # eps inf at high orders: those orders drop out, with no warnings
@@ -194,12 +189,12 @@ def test_srr_worst_case_rdp_edge_cases():
         warnings.simplefilter("error")
         eps = P.laplace_rdp_epsilon(grid, 5.0, 3)
         assert np.isinf(eps).any() and np.isfinite(eps).any()
-        got = P.srr_worst_case_rdp(eps, grid)
+        got = P.rdp_bound(eps, grid).worst_case()
         assert got >= _rdp_worst_oracle(eps, grid) - 2.2e-16
-        assert P.srr_worst_case_rdp([math.inf], [2.0]) == 1.0
+        assert P.rdp_bound([math.inf], [2.0]).worst_case() == 1.0
     for eps, grid in (([], []), ([1.0], [1.0]), ([-1.0, 1.0], [2.0, 3.0])):
         with pytest.raises(T.ParameterError):
-            P.srr_worst_case_rdp(eps, grid)
+            P.rdp_bound(eps, grid)
 
 
 # ------------------------------------------------------------- Renyi values
@@ -238,6 +233,9 @@ def test_laplace_rdp_against_mpmath_at_small_epsilon():
                                   + (t_ - 1) / (2 * t_ - 1)
                                   * mpmath.exp(-t_ * e)) / (t_ - 1)
                 assert abs(g - want) <= 1e-12 * want, (eps, t)
+    # round-off took it below 0 at eps below about 1e-20
+    for eps in (1e-20, 1e-100, 1e-300):
+        assert (P.laplace_rdp_epsilon(grid, eps) >= 0).all()
 
 
 def test_gaussian_rdp_value():
@@ -249,6 +247,16 @@ def test_gaussian_rdp_value():
         3 * P.gaussian_rdp_epsilon(ts, 2.0), rel=1e-15)
     with pytest.raises(T.ParameterError):
         P.gaussian_rdp_epsilon(np.array([2.0, 0.5]), 2.0)
+    for bad in (np.nan, 1.0):
+        with pytest.raises(T.ParameterError):
+            P.gaussian_rdp_epsilon(np.array([2.0, bad]), 2.0)
+    assert P.gaussian_rdp_epsilon(np.array([]), 2.0).size == 0
+    # k t mu^2 / 2 overflows to inf, the vacuous bound, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(P.gaussian_rdp_epsilon(ts, 1e200)).all()
+        assert np.isinf(P.gaussian_rdp_epsilon(ts, 1e140, 10 ** 30)).all()
+        assert P.gaussian_rdp_epsilon(1e16, 1e144) == 1e16 * 1e144 * 1e144 / 2
 
 
 # ------------------------------------------------------ optimal composition
