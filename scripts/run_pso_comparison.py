@@ -40,7 +40,7 @@ def main(argv=None):
         f = T.gaussian_curve(T.gaussian_mu_at(eps, args.delta))
         adv_spso = R.adv_bound(f, w)
         for n in sizes:
-            base = n * w * (1 - w) ** (n - 1)
+            base = R.baseline_value(R.BaselineSpec.pso_weight(n, w))
             adv_pso = max(0.0, P.pso_bound_eps_delta(n, w, eps, args.delta)
                           - base)
             writer.writerow([n, f"{eps:.6g}", f"{adv_pso:.10g}",

@@ -60,8 +60,8 @@ class CalibrationRequest:
             raise ParameterError("bracket must satisfy 0 < lo < hi")
         if not self.tolerance > 0:
             raise ParameterError("tolerance must be > 0")
-        if self.rdp_order is not None:  # the order check of rdp_bound
-            prior_bounds.rdp_bound([0.0], [self.rdp_order])
+        if self.rdp_order is not None:
+            prior_bounds.rdp_order_frac(self.rdp_order)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,9 +102,10 @@ def method_bound(spec: MechanismSpec, method: str,
         if rdp_epsilon is None:
             raise ParameterError(
                 f"RDP accounting not supported for family {spec.family!r}")
-        if rdp_order is not None:
-            grid = np.array([rdp_order])
-            return prior_bounds.rdp_bound(rdp_epsilon(grid, scale, k), grid)
+        if rdp_order is not None:  # checked before its epsilon is computed
+            frac = prior_bounds.rdp_order_frac(rdp_order)
+            eps = rdp_epsilon(np.array([rdp_order]), scale, k)
+            return prior_bounds._rdp_bound(eps, np.array([frac]))
         # the default grid is valid: no check at each calibration step
         eps = rdp_epsilon(prior_bounds.default_t_grid(), scale, k)
         return prior_bounds._rdp_bound(eps, prior_bounds._DEFAULT_T_FRAC)

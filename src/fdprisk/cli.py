@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -33,24 +32,28 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 
 
-def _open_output(path: str | None):
-    """stdout when no path; otherwise a file under $FDPRISK_OUTPUT_DIR."""
-    if path is None:
-        return sys.stdout, False
-    if not os.path.isabs(path):
-        base = os.environ.get(OUTPUT_DIR_ENV, "")
-        if base:
-            path = os.path.join(base, path)
-    return open(path, "w"), True
+def _emit(args, lines: list[str], payload=None) -> None:
+    """Print the lines, or the payload as JSON under ``--format json``, to
+    stdout or to ``--output``: a relative path resolves under
+    $FDPRISK_OUTPUT_DIR when that is set, an absolute one is used as given."""
+    text = (json.dumps(payload, indent=2)
+            if getattr(args, "format", None) == "json"
+            else "\n".join(lines)) + "\n"
+    if args.output is None:
+        sys.stdout.write(text)
+        return
+    with open(os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), args.output),
+              "w") as fh:
+        fh.write(text)
 
 
-def _emit(args, text: str) -> None:
-    out, close = _open_output(getattr(args, "output", None))
-    try:
-        out.write(text)
-    finally:
-        if close:
-            out.close()
+def _table(fields: tuple[str, ...], rows: list[tuple]):
+    """CSV lines (the header, then numbers at 17 significant digits) and
+    JSON records of the same rows."""
+    lines = [",".join(fields)]
+    lines += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+              for row in rows]
+    return lines, [dict(zip(fields, row)) for row in rows]
 
 
 # --------------------------------------------------------------------------
@@ -82,15 +85,13 @@ def cmd_tradeoff(args) -> int:
     curve = _curve_from_args(args)
     grid = (None if curve.is_piecewise
             else tradeoff.default_alpha_grid(args.grid_points))
-    if args.format == "json":
-        payload = {"provenance": curve.provenance,
-                   "knots": [{"alpha": float(a), "f": float(b)}
-                             for a, b in curve.as_knots(grid)]}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        buf = io.StringIO()
-        tradeoff.curve_to_csv(curve, buf, grid)
-        _emit(args, buf.getvalue())
+    knots = curve.as_knots(grid)
+    rows: list[str] = []  # curve_to_csv writes one newline-ended row a call
+    out = argparse.Namespace(write=lambda row: rows.append(row[:-1]))
+    tradeoff.curve_to_csv(TradeoffCurve(curve.provenance, knots=knots), out)
+    _emit(args, rows, {"provenance": curve.provenance,
+                      "knots": [{"alpha": a, "f": b}
+                                for a, b in knots.tolist()]})
     return EXIT_OK
 
 
@@ -185,68 +186,50 @@ def _mechanism(cp: configparser.ConfigParser):
     return curve, None, {"curve": curve.provenance}
 
 
-def _load_scenario(path: str) -> dict:
-    cp = _read_config(path)
+def _method_bound(mech: tuple, label: str, method: str,
+                  order: float | None):
+    """One bound of a ``_mechanism`` triple: the curve for fdp,
+    ``calibrate.method_bound`` for a mechanism spec, and for eps_delta on a
+    bare (epsilon, delta) pair, ``prior_bounds.eps_delta_bound``."""
+    curve, spec, params = mech
+    if method == "fdp":
+        return curve
+    if spec is not None:
+        return calibrate.method_bound(spec, method, order)
+    if method == "eps_delta" and "epsilon" in params:
+        return prior_bounds.eps_delta_bound(params["epsilon"], params["delta"])
+    raise ParameterError(f"method {label!r} needs a parametric mechanism spec")
+
+
+def cmd_bound(args) -> int:
+    cp = _read_config(args.scenario)
     mech = _mechanism(cp)
     labels = cp["baselines"].values() if cp.has_section("baselines") else ()
     if not labels:
         raise ParameterError("scenario needs at least one baseline")
-    return {"mechanism": mech,
-            "baselines": [(v, parse_baseline(v)) for v in labels],
-            "methods": parse_methods(cp.get("methods", "methods",
-                                            fallback=""))}
-
-
-def _bound_report(mech: tuple, baseline_label: str, baseline: BaselineSpec,
-                  method_label: str, method: str, rdp_order: float | None,
-                  bounds: dict) -> RiskReport:
-    """One row of the bound table for a ``_mechanism`` triple. ``bounds``
-    caches one bound per (method, order): the curve for fdp,
-    ``calibrate.method_bound`` for a mechanism spec, and for eps_delta on a
-    bare (epsilon, delta) pair, ``prior_bounds.eps_delta_bound``."""
-    curve, spec, params = mech
-    key = (method, rdp_order)
-    if key not in bounds:
-        if method == "fdp":
-            bounds[key] = curve
-        elif spec is not None:
-            bounds[key] = calibrate.method_bound(spec, method, rdp_order)
-        elif method == "eps_delta" and "epsilon" in params:
-            bounds[key] = prior_bounds.eps_delta_bound(params["epsilon"],
-                                                       params["delta"])
-        else:
-            raise ParameterError(f"method {method_label!r} needs a "
-                                 "parametric mechanism spec")
-    base, succ, adv = calibrate.bound_at(bounds[key], baseline)
-    return RiskReport(method=method_label, baseline_value=base,
-                      success_bound=succ, advantage_bound=adv,
-                      parameters={**params, "baseline": baseline_label})
-
-
-def cmd_bound(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    rows: list[str] = []
-    reports: list[RiskReport] = []
-    errors: list[str] = []
-    bounds: dict = {}
-    for b_label, baseline in scenario["baselines"]:
-        for m_label, method, order in scenario["methods"]:
+    baselines = [(v, parse_baseline(v)) for v in labels]
+    methods = parse_methods(cp.get("methods", "methods", fallback=""))
+    lines, reports, errors = [RISK_REPORT_CSV_HEADER], [], []
+    bounds: dict = {}  # (method, order) -> its bound, built on first use
+    for b_label, baseline in baselines:
+        for m_label, method, order in methods:
             try:
-                rep = _bound_report(scenario["mechanism"], b_label, baseline,
-                                    m_label, method, order, bounds)
-                reports.append(rep)
-                rows.append(rep.csv_row())
+                if (method, order) not in bounds:
+                    bounds[method, order] = _method_bound(mech, m_label,
+                                                          method, order)
+                base, succ, adv = calibrate.bound_at(bounds[method, order],
+                                                     baseline)
+                rep = RiskReport(method=m_label, baseline_value=base,
+                                 success_bound=succ, advantage_bound=adv,
+                                 parameters={**mech[2], "baseline": b_label})
             except ParameterError as exc:
                 msg = str(exc).replace(",", ";").replace("\n", " ")
-                rows.append(f"{m_label},,,,baseline={b_label};error:{msg}")
-                errors.append(f"{b_label}/{m_label}: {exc}")
-    if args.format == "json":
-        payload = [r.to_json_dict() for r in reports]
-        for err in errors:
-            payload.append({"error": err})
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(args, RISK_REPORT_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+                lines.append(f"{m_label},,,,baseline={b_label};error:{msg}")
+                errors.append({"error": f"{b_label}/{m_label}: {exc}"})
+                continue
+            reports.append(rep)
+            lines.append(rep.csv_row())
+    _emit(args, lines, [r.to_json_dict() for r in reports] + errors)
     if not reports:
         print("all bound rows failed", file=sys.stderr)
         return EXIT_CONFIG
@@ -264,29 +247,18 @@ def cmd_calibrate(args) -> int:
         target_kind, target_value = "success", args.target_succ
     else:
         raise ParameterError("specify --target-adv or --target-succ")
-    results = []
-    for method_label, method, order in parse_methods(args.methods):
-        req = CalibrationRequest(
-            family=args.family, target_kind=target_kind,
-            target_value=target_value, baseline=baseline, method=method,
-            sensitivity=args.sensitivity, compositions=args.compositions,
-            rdp_order=order, eps_delta_delta=args.delta,
-            tolerance=args.tolerance)
-        res = calibrate.calibrate_noise(req)
-        results.append((method_label, res))
+    results = [(label, calibrate.calibrate_noise(CalibrationRequest(
+        family=args.family, target_kind=target_kind,
+        target_value=target_value, baseline=baseline, method=method,
+        sensitivity=args.sensitivity, compositions=args.compositions,
+        rdp_order=order, eps_delta_delta=args.delta,
+        tolerance=args.tolerance)))
+        for label, method, order in parse_methods(args.methods)]
     ref = results[0][1].noise_scale
-    if args.format == "json":
-        payload = [{"method": label, "noise_scale": r.noise_scale,
-                    "status": r.status, "achieved_risk": r.achieved_risk,
-                    "ratio_to_first": r.noise_scale / ref}
-                   for label, r in results]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["method,noise_scale,status,achieved_risk,ratio_to_first"]
-        for label, r in results:
-            lines.append(f"{label},{r.noise_scale:.17g},{r.status},"
-                         f"{r.achieved_risk:.17g},{r.noise_scale / ref:.17g}")
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, *_table(
+        ("method", "noise_scale", "status", "achieved_risk", "ratio_to_first"),
+        [(label, r.noise_scale, r.status, r.achieved_risk,
+          r.noise_scale / ref) for label, r in results]))
     return EXIT_OK
 
 
@@ -299,8 +271,6 @@ def cmd_queries(args) -> int:
                          sensitivity=args.sensitivity)
     eps = spec.sensitivity / spec.noise_scale
     rows = []
-    max_k_fdp = 0
-    max_k_std = 0
     for k in range(1, args.k_max + 1):
         f_fdp = accountant.curve_of(
             dataclasses.replace(spec, compositions=k), grid_step=args.grid_step)
@@ -309,30 +279,19 @@ def cmd_queries(args) -> int:
                                                          args.delta_std)
         f_std = tradeoff.curve_from_epsilon_delta(eps_g, args.delta_std)
         adv_std = risk.adv_bound(f_std, args.base)
-        ok_fdp = adv_fdp <= args.target_adv
-        ok_std = adv_std <= args.target_adv
-        if ok_fdp:
-            max_k_fdp = max(max_k_fdp, k)
-        if ok_std:
-            max_k_std = max(max_k_std, k)
-        rows.append((k, adv_fdp, adv_std, int(ok_fdp), int(ok_std)))
-    if args.format == "json":
-        payload = {
-            "per_query_epsilon": eps,
-            "max_feasible_k_fdp": max_k_fdp,
-            "max_feasible_k_standard": max_k_std,
-            "rows": [{"k": k, "adv_fdp": a, "adv_standard": s,
-                      "feasible_fdp": bool(ff), "feasible_standard": bool(fs)}
-                     for k, a, s, ff, fs in rows],
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["k,adv_fdp,adv_standard,feasible_fdp,feasible_standard"]
-        for k, a, s, ff, fs in rows:
-            lines.append(f"{k},{a:.17g},{s:.17g},{ff},{fs}")
-        lines.append(f"# max_feasible_k_fdp={max_k_fdp} "
-                     f"max_feasible_k_standard={max_k_std}")
-        _emit(args, "\n".join(lines) + "\n")
+        rows.append((k, adv_fdp, adv_std, adv_fdp <= args.target_adv,
+                     adv_std <= args.target_adv))
+    # the largest feasible k of each accounting, or 0
+    max_k_fdp, max_k_std = (max((r[0] for r in rows if r[i]), default=0)
+                            for i in (3, 4))
+    lines, records = _table(("k", "adv_fdp", "adv_standard", "feasible_fdp",
+                             "feasible_standard"), rows)
+    lines.append(f"# max_feasible_k_fdp={max_k_fdp} "
+                 f"max_feasible_k_standard={max_k_std}")
+    _emit(args, lines, {"per_query_epsilon": eps,
+                        "max_feasible_k_fdp": max_k_fdp,
+                        "max_feasible_k_standard": max_k_std,
+                        "rows": records})
     return EXIT_OK
 
 
@@ -365,10 +324,9 @@ def run_verification(seed: int = 0,
                              f"got {n_pairs} and {seed}")
     rng = np.random.default_rng(seed)
     lines = []
-    ok = True
     grid = np.linspace(0.0, 1.0, 2001)
 
-    n_inv = n_tv = n_sound = 0
+    passed: dict[str, int] = {}  # check name -> pairs that pass it
     for i in range(n_pairs):
         size = int(rng.integers(2, 9))
         p = rng.dirichlet(np.ones(size))
@@ -377,36 +335,25 @@ def run_verification(seed: int = 0,
         q = q / q.sum()
         pair = oracle.DiscretePair(p=p, q=q)
         curve = oracle.exact_tradeoff(pair)
-        errs = _curve_invariant_violations(curve, grid)
-        if errs:
-            ok = False
-            lines.append(f"FAIL pair {i}: {'; '.join(errs)}")
-        else:
-            n_inv += 1
-        tv = oracle.exact_tv(pair)
-        if abs(tv - tradeoff.tv_from_curve(curve)) > 1e-10:
-            ok = False
-            lines.append(f"FAIL pair {i}: TV mismatch")
-        else:
-            n_tv += 1
+        tv_gap = abs(oracle.exact_tv(pair) - tradeoff.tv_from_curve(curve))
         # two-candidate attack soundness against the success bound
         pi = float(rng.uniform(0.05, 0.95))
-        prior = np.array([pi, 1.0 - pi])
-        channels = np.vstack([p, q])
-        succ = oracle.optimal_attack_success(channels, prior)
+        succ = oracle.optimal_attack_success(np.vstack([p, q]),
+                                             np.array([pi, 1.0 - pi]))
         bound = risk.succ_bound(curve, max(pi, 1.0 - pi))
-        if succ - bound > 1e-12:
-            ok = False
-            lines.append(f"FAIL pair {i}: attack success {succ} exceeds "
-                         f"bound {bound}")
-        else:
-            n_sound += 1
-    lines.append(f"{'PASS' if n_inv == n_pairs else 'FAIL'} curve invariants "
-                 f"({n_inv}/{n_pairs})")
-    lines.append(f"{'PASS' if n_tv == n_pairs else 'FAIL'} TV consistency "
-                 f"({n_tv}/{n_pairs})")
-    lines.append(f"{'PASS' if n_sound == n_pairs else 'FAIL'} attack-success "
-                 f"soundness ({n_sound}/{n_pairs})")
+        for name, err in (
+                ("curve invariants",
+                 "; ".join(_curve_invariant_violations(curve, grid))),
+                ("TV consistency", "TV mismatch" if tv_gap > 1e-10 else ""),
+                ("attack-success soundness",
+                 f"attack success {succ} exceeds bound {bound}"
+                 if succ - bound > 1e-12 else "")):
+            passed[name] = passed.get(name, 0) + (not err)
+            if err:
+                lines.append(f"FAIL pair {i}: {err}")
+    for name, n in passed.items():
+        lines.append(f"{'PASS' if n == n_pairs else 'FAIL'} {name} "
+                     f"({n}/{n_pairs})")
 
     # randomized-response tightness: the two-candidate Bayes success bound
     # is achieved exactly by the optimal attack
@@ -417,19 +364,17 @@ def run_verification(seed: int = 0,
         np.vstack([pair.p, pair.q]), np.array([0.5, 0.5]))
     bound = risk.bernoulli_succ_bound(oracle.exact_tradeoff(pair), 0.5)
     gap = bound - succ
-    if abs(gap) <= 1e-9:
-        lines.append(f"PASS randomized-response tightness (gap {gap:.2e})")
-    else:
-        ok = False
-        lines.append(f"FAIL randomized-response tightness (gap {gap:.2e})")
-
+    tight = abs(gap) <= 1e-9
+    lines.append(f"{'PASS' if tight else 'FAIL'} randomized-response "
+                 f"tightness (gap {gap:.2e})")
+    ok = tight and all(n == n_pairs for n in passed.values())
     lines.append("VERIFICATION " + ("PASSED" if ok else "FAILED"))
     return ok, lines
 
 
 def cmd_verify(args) -> int:
     ok, lines = run_verification(seed=args.seed, n_pairs=args.pairs)
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, lines)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

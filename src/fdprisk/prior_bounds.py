@@ -107,15 +107,20 @@ def rdp_bound(eps, t_grid) -> PriorBound:
     """Best reconstruction bound over an RDP curve (Mironov, CSF 2017),
     exp(min(0, min_t (t - 1)/t (log base + eps_t))), from the RDP epsilon of
     each order in ``t_grid``, checked in Python: cheaper at one order."""
-    eps, frac = np.asarray(eps, dtype=float), []
-    for t in np.asarray(t_grid, dtype=float).ravel().tolist():
-        if not (t > 1 and (t - 1) / t < 1):  # rounds to 1 from t ~ 1e16
-            raise ParameterError(f"RDP order {t} needs 0 < (t - 1)/t < 1")
-        frac.append((t - 1) / t)
+    eps = np.asarray(eps, dtype=float)
+    frac = [rdp_order_frac(t) for t in np.ravel(t_grid).tolist()]
     if not frac or eps.shape != (len(frac),) or not all(
             e >= 0 for e in eps.tolist()):
         raise ParameterError("need one RDP epsilon >= 0 per order")
     return _rdp_bound(eps, np.array(frac))
+
+
+def rdp_order_frac(t: float) -> float:
+    """(t - 1)/t of one RDP order t, refused unless it lies in (0, 1)."""
+    t = float(t)
+    if not (t > 1 and (t - 1) / t < 1):  # rounds to 1 from t ~ 1e16
+        raise ParameterError(f"RDP order {t} needs 0 < (t - 1)/t < 1")
+    return (t - 1) / t
 
 
 def _rdp_bound(eps: np.ndarray, frac: np.ndarray) -> PriorBound:

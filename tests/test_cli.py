@@ -453,7 +453,31 @@ def test_verify_injected_violation_fails(capsys, monkeypatch):
     monkeypatch.setattr(cli.oracle, "exact_tradeoff", lambda pair: bad)
     code, out = run(capsys, "verify", "--pairs", "5")
     assert code == 4
-    assert "VERIFICATION FAILED" in out
+    # each pair's invariant, TV and soundness failures in turn, then one
+    # summary line per check
+    bad_shape = "not non-increasing; knot slopes decrease (non-convex)"
+    assert out.splitlines() == [
+        f"FAIL pair 0: {bad_shape}",
+        "FAIL pair 0: TV mismatch",
+        "FAIL pair 0: attack success 0.8429193566783234 exceeds bound "
+        "0.7919099414576969",
+        f"FAIL pair 1: {bad_shape}",
+        "FAIL pair 1: TV mismatch",
+        "FAIL pair 1: attack success 0.8242154493339656 exceeds bound "
+        "0.669602057513846",
+        f"FAIL pair 2: {bad_shape}",
+        "FAIL pair 2: TV mismatch",
+        "FAIL pair 2: attack success 0.7359523089513902 exceeds bound "
+        "0.6073713014260349",
+        f"FAIL pair 3: {bad_shape}",
+        "FAIL pair 3: TV mismatch",
+        f"FAIL pair 4: {bad_shape}",
+        "FAIL pair 4: TV mismatch",
+        "FAIL curve invariants (0/5)",
+        "FAIL TV consistency (0/5)",
+        "FAIL attack-success soundness (2/5)",
+        "FAIL randomized-response tightness (gap -5.00e-02)",
+        "VERIFICATION FAILED"]
 
 
 _EDGE_INPUTS = [
@@ -478,10 +502,21 @@ _EDGE_INPUTS = [
     ("calibrate", "--family", "gaussian", "--target-adv", "0.2",
      "--methods", "rdp-t1e16"),
     ("verify", "--seed", "-1"),
+    # explicit RDP orders whose epsilon warned before the order was refused
+    ("bound", "--scenario", "laplace_rdp_tinf.cfg"),
+    ("bound", "--scenario", "gaussian_rdp_t1e308.cfg"),
 ]
 # scenario files the edge inputs name, written to the working directory
-_EDGE_SCENARIOS = {"tiny_noise.cfg": GAUSS_SCENARIO.replace(
-    "noise_scale = 1.0", "noise_scale = 1e-200")}
+with open(os.path.join(ROOT, "tests", "golden", "laplace_k3.cfg")) as _fh:
+    _LAPLACE_K3 = _fh.read()
+_EDGE_SCENARIOS = {
+    "tiny_noise.cfg": GAUSS_SCENARIO.replace("noise_scale = 1.0",
+                                             "noise_scale = 1e-200"),
+    "laplace_rdp_tinf.cfg": _LAPLACE_K3.replace(
+        "methods = fdp, rdp, eps_delta", "methods = fdp, rdp-tinf"),
+    "gaussian_rdp_t1e308.cfg": GAUSS_SCENARIO.replace(
+        "noise_scale = 1.0", "noise_scale = 0.5").replace(
+        "fdp, zcdp, rdp-t2", "fdp, rdp-t1e308")}
 
 
 @pytest.mark.parametrize("argv", _EDGE_INPUTS, ids=" ".join)
@@ -534,3 +569,22 @@ def test_output_dir_env_var(tmp_path, monkeypatch, capsys):
     code, _ = run(capsys, "tradeoff", "--epsilon", "1", "--output", "out.csv")
     assert code == 0
     assert (tmp_path / "out.csv").read_text().startswith("alpha,f\n")
+
+
+def test_output_paths_without_or_past_the_dir_env_var(tmp_path, monkeypatch,
+                                                      capsys):
+    # an absolute path ignores the variable; a relative one without it
+    # lands in the working directory
+    out_dir, work = tmp_path / "env", tmp_path / "work"
+    out_dir.mkdir()
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out_dir))
+    assert run(capsys, "tradeoff", "--epsilon", "1", "--output",
+               str(tmp_path / "abs.csv")) == (0, "")
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV)
+    assert run(capsys, "verify", "--pairs", "1", "--output", "rel.txt") == \
+        (0, "")
+    assert (tmp_path / "abs.csv").read_text().startswith("alpha,f\n")
+    assert (work / "rel.txt").read_text().endswith("VERIFICATION PASSED\n")
+    assert list(out_dir.iterdir()) == []

@@ -26,6 +26,7 @@ GAUSS = str(ROOT / "scenarios" / "example_gaussian.cfg")
 CENSUS = str(ROOT / "scenarios" / "census_state.cfg")
 LAPLACE_K3 = str(GOLDEN / "laplace_k3.cfg")
 RR_K18 = str(GOLDEN / "rr_k18.cfg")
+EPS_DELTA = str(GOLDEN / "eps_delta.cfg")
 
 
 def _calibrate_gaussian(k, baseline, methods="fdp,zcdp,rdp"):
@@ -40,6 +41,10 @@ COMMANDS = {
     "bound_census_csv": ["bound", "--scenario", CENSUS],
     "bound_census_json": ["bound", "--scenario", CENSUS, "--format", "json"],
     "bound_laplace_k3_csv": ["bound", "--scenario", LAPLACE_K3],
+    # a bare (epsilon, delta) pair: its zcdp rows are error rows
+    "bound_eps_delta_csv": ["bound", "--scenario", EPS_DELTA],
+    "bound_eps_delta_json": ["bound", "--scenario", EPS_DELTA,
+                             "--format", "json"],
     # rdp-t2 is vacuous at every baseline here but spso, where the whole
     # command would otherwise exit 3. At pso:5000:2e-4, w = 1/n, the union
     # singling-out success is at least n w = 1 at every noise scale: exit 3
@@ -55,9 +60,16 @@ COMMANDS = {
     "calibrate_laplace_k3_rdp_worst_case": [
         "calibrate", "--family", "laplace", "--target-adv", "0.2",
         "--baseline", "worst_case", "--methods", "rdp", "--compositions", "3"],
+    "calibrate_gaussian_spso_json": [
+        "calibrate", "--family", "gaussian", "--target-adv", "0.2",
+        "--baseline", "spso:1e-4", "--methods", "fdp,zcdp,rdp-t2",
+        "--format", "json"],
     "queries_k18": ["queries", "--k-max", "18"],
+    "queries_k4_json": ["queries", "--k-max", "4", "--format", "json"],
     "verify": ["verify"],
     "tradeoff_gaussian_mu1": ["tradeoff", "--gaussian-mu", "1"],
+    "tradeoff_gaussian_mu1_json": ["tradeoff", "--gaussian-mu", "1",
+                                   "--format", "json"],
     "tradeoff_laplace_k3": ["tradeoff", "--mechanism", LAPLACE_K3],
     "tradeoff_rr_k18": ["tradeoff", "--mechanism", RR_K18],
     # any scenario's [mechanism] section: the (epsilon, delta) curve
