@@ -2,11 +2,12 @@
 
 Given a mechanism family, a baseline, and a target advantage (or success),
 find the smallest noise scale whose bound meets the target, under any of the
-supported accounting methods, by bisection on the log noise scale. The
-bisection assumes risk is non-increasing in the noise scale. Composed
-Laplace breaks that by a little: its discretized loss grid makes the risk a
-sawtooth in the noise scale. The answer still meets the target, but it need
-not be the smallest noise scale that does.
+supported accounting methods, by a root finder on the log noise scale.
+Where the risk falls monotonically in the noise scale, that is Illinois
+regula falsi (``tradeoff._solve``). Composed Laplace under fdp or eps_delta
+breaks monotonicity by a little: its discretized loss grid makes the risk a
+sawtooth in the noise scale, so it is bisected. The answer still meets the
+target, but there it need not be the smallest noise scale that does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import accountant, prior_bounds, risk
 from .accountant import MechanismSpec
 from .risk import BaselineSpec
 from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
-                       _epsilon_at_delta, delta_for_epsilon)
+                       _epsilon_at_delta, _solve, delta_for_epsilon)
 
 METHODS = ("fdp", "rdp", "zcdp", "eps_delta")
 _RDP_EPSILON = {"gaussian": prior_bounds.gaussian_rdp_epsilon,
@@ -163,10 +164,13 @@ def risk_at(req: CalibrationRequest, noise_scale: float) -> float:
 def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
     """Minimal noise scale whose risk bound meets the target.
 
-    Bisection on log noise scale, to ``req.tolerance``; the bracket's high
-    end doubles, at most 16 times, before the target is declared
-    infeasible. A target already met at the bracket's low end returns it
-    with a trivial-target flag.
+    Regula falsi on log noise scale, or bisection where the risk comes from
+    a composed Laplace PLD, until the bracket is at most ``req.tolerance``
+    wide: the answer meets the target and, for a monotone risk, lies within
+    the tolerance in log noise scale above the smallest noise scale that
+    does. The bracket's high end doubles, at most 16 times, before the
+    target is declared infeasible. A target already met at the bracket's
+    low end returns it with a trivial-target flag.
     """
     if req.family == "randomized_response":
         raise ParameterError("randomized_response cannot be calibrated: its "
@@ -188,12 +192,19 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
 
     seen = {math.log(hi): (hi, risk_hi)}  # log sigma -> (sigma, risk)
 
-    def ok(log_sigma):
+    def risk_of(log_sigma):
         sigma = math.exp(log_sigma)
         seen[log_sigma] = sigma, risk_at(req, sigma)
-        return seen[log_sigma][1] <= req.target_value
+        return seen[log_sigma][1]
 
-    sigma, achieved = seen[_bisect(ok, math.log(lo), math.log(hi),
-                                   req.tolerance)]
+    lo, hi = math.log(lo), math.log(hi)
+    if (req.family == "laplace" and req.compositions > 1
+            and req.method in ("fdp", "eps_delta")):  # a sawtooth in sigma
+        x = _bisect(lambda x: risk_of(x) <= req.target_value, lo, hi,
+                    req.tolerance)
+    else:
+        x = _solve(risk_of, req.target_value, lo, hi, risk_lo, risk_hi,
+                   tol=req.tolerance)
+    sigma, achieved = seen[x]
     return CalibrationResult(noise_scale=sigma, status="ok",
                              achieved_risk=achieved)

@@ -48,11 +48,11 @@ def _emit(args, lines: list[str], payload=None) -> None:
 
 
 def _table(fields: tuple[str, ...], rows: list[tuple]):
-    """CSV lines (the header, then numbers at 17 significant digits) and
-    JSON records of the same rows."""
+    """CSV lines (the header, then numbers at 17 significant digits, None
+    as an empty field) and JSON records of the same rows."""
     lines = [",".join(fields)]
-    lines += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
-              for row in rows]
+    lines += [",".join("" if v is None else v if isinstance(v, str)
+                       else f"{v:.17g}" for v in row) for row in rows]
     return lines, [dict(zip(fields, row)) for row in rows]
 
 
@@ -247,19 +247,28 @@ def cmd_calibrate(args) -> int:
         target_kind, target_value = "success", args.target_succ
     else:
         raise ParameterError("specify --target-adv or --target-succ")
-    results = [(label, calibrate.calibrate_noise(CalibrationRequest(
-        family=args.family, target_kind=target_kind,
-        target_value=target_value, baseline=baseline, method=method,
-        sensitivity=args.sensitivity, compositions=args.compositions,
-        rdp_order=order, eps_delta_delta=args.delta,
-        tolerance=args.tolerance)))
-        for label, method, order in parse_methods(args.methods)]
-    ref = results[0][1].noise_scale
-    _emit(args, *_table(
-        ("method", "noise_scale", "status", "achieved_risk", "ratio_to_first"),
-        [(label, r.noise_scale, r.status, r.achieved_risk,
-          r.noise_scale / ref) for label, r in results]))
-    return EXIT_OK
+    rows = []
+    for label, method, order in parse_methods(args.methods):
+        try:
+            r = calibrate.calibrate_noise(CalibrationRequest(
+                family=args.family, target_kind=target_kind,
+                target_value=target_value, baseline=baseline, method=method,
+                sensitivity=args.sensitivity, compositions=args.compositions,
+                rdp_order=order, eps_delta_delta=args.delta,
+                tolerance=args.tolerance))
+        except InfeasibleTargetError as exc:  # the other methods still answer
+            print(f"infeasible target: {exc}", file=sys.stderr)
+            rows.append((label, None, "infeasible", None))
+        else:
+            rows.append((label, r.noise_scale, r.status, r.achieved_risk))
+    ref = rows[0][1]
+    if any(row[1] is not None for row in rows):
+        _emit(args, *_table(
+            ("method", "noise_scale", "status", "achieved_risk",
+             "ratio_to_first"),
+            [row + (None if None in (ref, row[1]) else row[1] / ref,)
+             for row in rows]))
+    return EXIT_INFEASIBLE if None in (row[1] for row in rows) else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -270,6 +279,8 @@ def cmd_queries(args) -> int:
     spec = MechanismSpec(family="laplace", noise_scale=args.b,
                          sensitivity=args.sensitivity)
     eps = spec.sensitivity / spec.noise_scale
+    if args.k_max < 1:
+        raise ParameterError(f"--k-max must be >= 1, got {args.k_max}")
     rows = []
     for k in range(1, args.k_max + 1):
         f_fdp = accountant.curve_of(
@@ -455,9 +466,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleTargetError as exc:
-        print(f"infeasible target: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -210,9 +210,13 @@ def laplace_rdp_epsilon(t, epsilon: float, k: int = 1):
     if not epsilon >= 0:
         raise ParameterError("epsilon must be >= 0")
     t_1, t_2 = t - 1.0, 2.0 * t - 1.0
-    with np.errstate(over="ignore"):  # inf: the vacuous bound at this order
+    if (float(t.max()) - 1.0) * epsilon < 709.0:  # no expm1 overflows
         inner_m1 = (t / t_2) * np.expm1(t_1 * epsilon) \
-            + (t_1 / t_2) * np.expm1(t * -epsilon)
+            + (t_1 / t_2) * np.expm1(t * -epsilon)  # skip the errstate
+    else:  # inf where expm1 overflows, the vacuous bound at that order
+        with np.errstate(over="ignore"):
+            inner_m1 = (t / t_2) * np.expm1(t_1 * epsilon) \
+                + (t_1 / t_2) * np.expm1(t * -epsilon)
     out = k * np.log1p(np.maximum(inner_m1, 0.0)) / t_1
     return float(out) if out.ndim == 0 else out
 

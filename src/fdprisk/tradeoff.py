@@ -382,8 +382,8 @@ def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
     """Smallest point found in (lo, hi] where the monotone ``ok`` holds,
     given ok(lo) false and ok(hi) true: halvings until the bracket is at
     most ``tol`` wide, or until the midpoint rounds to an end point and so
-    can no longer move. ``calibrate_noise`` runs on it; ``_solve`` ends
-    with it."""
+    can no longer move. ``calibrate_noise`` runs on it where the risk is a
+    sawtooth; ``_solve`` ends with it."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -396,15 +396,17 @@ def _bisect(ok: Callable[[float], bool], lo: float, hi: float,
 
 
 def _solve(f: Callable[[float], float], target: float, lo: float, hi: float,
-           f_lo: float, f_hi: float, convex: bool = False) -> float:
+           f_lo: float, f_hi: float, convex: bool = False,
+           tol: float = 0.0) -> float:
     """Smallest point found in (lo, hi] where f <= target, for f falling
     in [0, 1] with f_lo = f(lo) > target >= f(hi) = f_hi: Illinois regula
     falsi (Dowell & Jarratt, BIT 1971) on sqrt(log 1/f), near linear on a
     Gaussian tail; for f ``convex`` in e^x, as a privacy profile is, the
     larger of it and the secant of the last two left points in e^x, at or
     below the root. Steps stay two ulps inside the bracket; a halving
-    follows one so clamped that stays on its end's side. ``_bisect`` on
-    the exact test finishes, so the answer meets the target."""
+    follows one so clamped that stays on its end's side, until the bracket
+    is at most ``tol`` wide. ``_bisect`` on the exact test finishes, so the
+    answer meets the target and lies within ``tol`` above a root."""
     t = math.sqrt(-math.log(target)) if target > 0.0 else 0.0
 
     def g(v):
@@ -415,7 +417,7 @@ def _solve(f: Callable[[float], float], target: float, lo: float, hi: float,
     w_lo = w_hi = 1.0  # Illinois weights
     side, halve = 0, False
     step = 2.0 * math.ulp(hi)
-    while hi - lo > 2.0 * step:
+    while hi - lo > max(2.0 * step, tol):
         x = -math.inf
         if convex and a is not None and f_a != f_lo:
             y = (f_lo - target) * math.expm1(a - lo) / (f_lo - f_a)
@@ -438,7 +440,7 @@ def _solve(f: Callable[[float], float], target: float, lo: float, hi: float,
         else:
             w_hi = 0.5 * w_hi if side == -1 else 1.0
             a, f_a, lo, f_lo, g_lo, side, w_lo = lo, f_lo, x, v, g(v), -1, 1.0
-    return _bisect(lambda x: f(x) <= target, lo, hi)
+    return _bisect(lambda x: f(x) <= target, lo, hi, tol)
 
 
 # --------------------------------------------------------------------------

@@ -157,6 +157,74 @@ def test_calibration_evaluates_each_noise_scale_once(monkeypatch):
         assert res.achieved_risk == risk_at(_req(**kw), res.noise_scale)
 
 
+def _counted_calibration(monkeypatch, req):
+    """The calibration of req and the noise scales its risk was taken at."""
+    seen, risk_at = [], C.risk_at
+
+    def counting(req, sigma):
+        seen.append(sigma)
+        return risk_at(req, sigma)
+
+    monkeypatch.setattr(C, "risk_at", counting)
+    res = C.calibrate_noise(req)
+    monkeypatch.setattr(C, "risk_at", risk_at)
+    return res, seen
+
+
+_MONOTONE = [("gaussian", k, m) for k in (1, 3)
+             for m in ("fdp", "zcdp", "rdp", "rdp-t2", "eps_delta")]
+_MONOTONE += [("laplace", 1, m) for m in ("fdp", "rdp", "rdp-t2", "eps_delta")]
+_MONOTONE += [("laplace", 3, m) for m in ("rdp", "rdp-t2")]
+
+
+@pytest.mark.parametrize("family, k, method", _MONOTONE, ids=str)
+def test_monotone_risk_calibrates_in_at_most_16_steps(monkeypatch, family, k,
+                                                      method):
+    # where the risk falls monotonically in sigma, regula falsi on log sigma
+    # meets the target within the tolerance above a 1e-10-tolerance
+    # bisection on the same risk, in at most 16 risk evaluations (19 for
+    # the bisection at tolerance 1e-4 over this bracket)
+    method, order = ("rdp", 2.0) if method == "rdp-t2" else (method, None)
+    answered = 0
+    for baseline in (R.BaselineSpec.fixed(0.1), R.BaselineSpec.bernoulli(0.5),
+                     R.BaselineSpec.worst_case(),
+                     R.BaselineSpec.pso_weight(5000, 2e-5)):
+        for target in (0.05, 0.2, 0.35, 0.5):
+            req = _req(family=family, compositions=k, method=method,
+                       rdp_order=order, baseline=baseline,
+                       target_value=target, tolerance=1e-4,
+                       bracket=(0.1, 1000.0))
+            try:
+                res, seen = _counted_calibration(monkeypatch, req)
+            except C.InfeasibleTargetError:  # rdp at order 2: a floor
+                continue
+            if res.status == "trivial":  # met at the bracket's low end
+                continue
+            case = (baseline.kind, target, res, len(seen))
+            assert res.achieved_risk <= target, case
+            assert len(seen) <= 16, case
+            root = T._bisect(
+                lambda x: C.risk_at(req, math.exp(x)) <= target,
+                math.log(0.1), math.log(1000.0), 1e-10)
+            assert -1e-10 <= math.log(res.noise_scale) - root <= 1e-4, case
+            answered += 1
+    assert answered >= 5
+
+
+@pytest.mark.parametrize("method, baseline, sigma", [
+    ("fdp", R.BaselineSpec.fixed(0.1), 1.7917003596202798),
+    ("eps_delta", R.BaselineSpec.worst_case(), 4.937208241955724)])
+def test_composed_laplace_keeps_its_bisection(monkeypatch, method, baseline,
+                                              sigma):
+    # the discretized PLD makes this risk a sawtooth in sigma: it keeps the
+    # 17 halvings of log sigma over (0.1, 1000) and their answer, bit for bit
+    res, seen = _counted_calibration(monkeypatch, _req(
+        family="laplace", compositions=2, method=method, baseline=baseline,
+        target_value=0.2, tolerance=1e-4, bracket=(0.1, 1000.0)))
+    assert res.noise_scale == sigma
+    assert len(seen) == 19
+
+
 def test_bracket_narrower_than_tolerance_returns_hi():
     # no midpoint is taken, so the answer is hi itself and the risk there,
     # not exp(log(hi)), which rounds to another float

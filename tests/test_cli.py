@@ -416,6 +416,28 @@ def test_calibrate_infeasible_exit_code(capsys):
     assert code == 3
 
 
+def test_calibrate_keeps_the_methods_that_answer(capsys):
+    # rdp at order 2 cannot reach advantage 0.2 at the worst case: its row
+    # says so with empty numbers, and so does every ratio to it; fdp answers
+    code = cli.main(["calibrate", "--family", "gaussian", "--target-adv", "0.2",
+                     "--methods", "rdp-t2,fdp"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err.startswith("infeasible target: ")
+    lines = out.splitlines()
+    assert lines[1] == "rdp-t2,,infeasible,,"
+    method, sigma, status, achieved, ratio = lines[2].split(",")
+    assert (method, status, ratio) == ("fdp", "ok", "")
+    assert float(achieved) <= 0.2 and float(sigma) > 0.0
+
+
+@pytest.mark.parametrize("k_max", ["0", "-3"])
+def test_queries_without_k_is_config_error(capsys, k_max):
+    code, out = run(capsys, "queries", "--k-max", k_max)
+    assert code == 2
+    assert out == ""
+
+
 def test_queries_small_run(capsys):
     code, out = run(capsys, "queries", "--b", "5", "--k-max", "3",
                     "--base", "0.1", "--target-adv", "0.2",
@@ -485,6 +507,8 @@ _EDGE_INPUTS = [
     ("queries", "--base", "2"),
     ("queries", "--delta-std", "0"),
     ("queries", "--sensitivity", "0"),
+    ("queries", "--k-max", "0"),
+    ("queries", "--k-max", "-3"),
     ("tradeoff", "--gaussian-mu", "1", "--grid-points", "-5"),
     ("tradeoff", "--laplace-eps", "nan"),
     ("tradeoff", "--gaussian-mu", "inf"),

@@ -220,6 +220,24 @@ def test_laplace_rdp_against_numeric_integral():
         P.laplace_rdp_epsilon(np.array([2.0, 1.0]), eps)
 
 
+def test_laplace_rdp_error_state_only_where_expm1_can_overflow():
+    # numpy's error state is entered only where (t_max - 1) eps reaches
+    # 709; on either side the bits are those of the sum taken under it
+    def under_errstate(t, eps):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore"):
+            inner_m1 = (t / (2.0 * t - 1.0)) * np.expm1((t - 1.0) * eps) \
+                + ((t - 1.0) / (2.0 * t - 1.0)) * np.expm1(t * -eps)
+        return 3 * np.log1p(np.maximum(inner_m1, 0.0)) / (t - 1.0)
+
+    for t in (P.default_t_grid(), 2.0, np.array([1.0001, 3.0, 1e6])):
+        edge = 709.0 / (np.max(t) - 1.0)
+        for eps in (1e-3, 0.5 * edge, math.nextafter(edge, 0.0), edge,
+                    709.8 / (np.max(t) - 1.0), 2.0 * edge, 1e300):
+            assert np.array_equal(P.laplace_rdp_epsilon(t, eps, 3),
+                                  under_errstate(t, eps)), (t, eps)
+
+
 def test_laplace_rdp_against_mpmath_at_small_epsilon():
     # the log's argument is 1 + O(eps^2): taken whole, it cancels to 2e-6
     # relative at eps = 1e-3

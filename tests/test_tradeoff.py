@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -318,6 +318,28 @@ def test_bisect_on_threshold_predicates(ends, frac, tol):
         assert len(calls) <= max(0, math.ceil(math.log2((hi - lo) / tol)))
     else:
         assert got == t
+
+
+_FALLING = {"logistic": lambda x: 1.0 / (1.0 + math.exp(x)),
+            "normal_tail": lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)),
+            "gumbel": lambda x: math.exp(-math.exp(x))}
+
+
+@given(lo=st.floats(-8.0, 8.0), width=st.floats(1e-3, 20.0),
+       frac=st.floats(0.0, 1.0), tol=st.sampled_from([1e-8, 1e-4, 1e-2]),
+       name=st.sampled_from(sorted(_FALLING)))
+@settings(max_examples=300, deadline=None)
+def test_solve_with_tol_ends_within_tol_above_the_root(lo, width, frac, tol,
+                                                      name):
+    # the answer meets the target and lies within tol above the exact
+    # root, the smallest float where f <= target (the tol = 0 bisection)
+    f, hi = _FALLING[name], lo + width
+    target = f(lo + frac * width)
+    assume(f(lo) > target >= f(hi) and target > 0.0)
+    root = T._bisect(lambda x: f(x) <= target, lo, hi)
+    got = T._solve(f, target, lo, hi, f(lo), f(hi), tol=tol)
+    assert f(got) <= target
+    assert root <= got <= root + tol
 
 
 # ------------------------------------------------------------------ profiles
