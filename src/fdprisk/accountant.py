@@ -8,9 +8,7 @@ Laplace composition goes through a discretized privacy loss distribution
 Honkela, "Computing Tight Differential Privacy Guarantees Using FFT",
 AISTATS 2020). All discretization rounds privacy losses toward larger loss,
 so every emitted delta (and every downstream risk bound) is a certified
-upper bound. scipy.special is imported on first use, by the Gaussian and
-randomized-response curves, so Laplace and (epsilon, delta) work runs on
-numpy alone.
+upper bound. Everything runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ import math
 
 import numpy as np
 
+from ._special import elementwise, gammaln
 from .oracle import DiscretePair, exact_tradeoff
 from .tradeoff import (ParameterError, PrivacyProfile, TradeoffCurve,
                        curve_from_profile, gaussian_curve, laplace_curve)
@@ -213,9 +212,9 @@ def rr_pair(k: int, log_keep: float, log_flip: float):
     also the optimal composition of k eps0-DP mechanisms (Kairouz, Oh &
     Viswanath, ICML 2015).
     """
-    from scipy.special import gammaln  # loaded on first use
+    log_fact = elementwise(gammaln, np.arange(1.0, k + 2.0))  # log j!
     j = np.arange(k + 1)
-    log_pmf = (gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1)
+    log_pmf = (log_fact[k] - log_fact - log_fact[::-1]
                + j * log_keep + (k - j) * log_flip)
     pmf = np.exp(log_pmf)
     pmf /= pmf.sum()

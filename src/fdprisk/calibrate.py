@@ -21,7 +21,7 @@ from . import accountant, prior_bounds, risk
 from .accountant import MechanismSpec
 from .risk import BaselineSpec
 from .tradeoff import (ParameterError, TradeoffCurve, _bisect,
-                       _epsilon_at_delta, _solve, delta_for_epsilon)
+                       _epsilon_at_delta, _solve)
 
 METHODS = ("fdp", "rdp", "zcdp", "eps_delta")
 _RDP_EPSILON = {"gaussian": prior_bounds.gaussian_rdp_epsilon,
@@ -112,9 +112,11 @@ def method_bound(spec: MechanismSpec, method: str,
         return prior_bounds._rdp_bound(eps, prior_bounds._DEFAULT_T_FRAC)
     if method == "eps_delta":
         # the single-pair curve at the smallest eps at the configured delta
-        f = accountant.curve_of(spec)
-        eps = _epsilon_at_delta(lambda e: delta_for_epsilon(f, e),
-                                eps_delta_delta)
+        delta_of = accountant.curve_of(spec).delta  # read at eps >= 0 only
+        try:
+            eps = _epsilon_at_delta(delta_of, eps_delta_delta)
+        except ParameterError:  # no eps up to 1e6: e^eps overflows, vacuous
+            eps = math.inf
         return prior_bounds.eps_delta_bound(eps, eps_delta_delta)
     raise ParameterError(f"unknown method {method!r}")
 

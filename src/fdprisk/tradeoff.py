@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._special import elementwise, log_ndtr, ndtr, ndtri
+
 
 class ParameterError(ValueError):
     """An input parameter is outside its admissible domain."""
@@ -47,7 +49,9 @@ def default_alpha_grid(n: int = 2001) -> np.ndarray:
     if n < 2:
         raise ParameterError(f"an alpha grid needs n >= 2 points, got {n}")
     half = np.logspace(-12.0, np.log10(0.5), n // 2)
-    return np.unique(np.concatenate([[0.0], half, 1.0 - half[::-1], [1.0]]))
+    # np.unique, without the numpy.ma import that numpy's unique brings
+    grid = np.sort(np.concatenate([[0.0], half, 1.0 - half[::-1], [1.0]]))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
 def lower_convex_hull(alphas: np.ndarray, betas: np.ndarray):
@@ -299,28 +303,29 @@ def gaussian_curve(mu: float) -> TradeoffCurve:
         raise ParameterError(f"mu must be >= 0, got {mu}")
     if math.isinf(mu):
         return _zero_curve(f"gaussian(mu={mu!r})")
-    from scipy.special import log_ndtr, ndtr, ndtri  # loaded on first use
 
     def fn(a):
-        return ndtr(-ndtri(np.asarray(a, dtype=float)) - mu)
+        return elementwise(lambda v: ndtr(-ndtri(v) - mu), a)
 
     def delta_at(epsilon):
         # closed form: the maximizing alpha sits deep in the tail, where
         # grid search loses all precision
         if mu == 0.0:
             return 0.0
-        e_eps, x = _exp(epsilon), -epsilon / mu - mu / 2.0
-        tail = (e_eps * ndtr(x) if e_eps < math.inf
-                else math.exp(epsilon + log_ndtr(x)))
+        x = -epsilon / mu - mu / 2.0
+        try:
+            tail = math.exp(epsilon) * ndtr(x)
+        except OverflowError:  # from eps = 709.78 on, where x <= -37.68
+            tail = math.exp(epsilon + log_ndtr(x))
         d = ndtr(-epsilon / mu + mu / 2.0) - tail
-        return float(min(1.0, max(0.0, d)))
+        return d if 0.0 < d < 1.0 else 1.0 if d >= 1.0 else 0.0
 
     def bayes(pi):
         # the likelihood-ratio test's error at z: two tails, no cancellation
         if mu == 0.0:
             return min(pi, 1.0 - pi)
         z = _logit(pi) / mu + mu / 2.0
-        return float(pi * ndtr(-z) + (1.0 - pi) * ndtr(z - mu))
+        return pi * ndtr(-z) + (1.0 - pi) * ndtr(z - mu)
 
     return TradeoffCurve(provenance=f"gaussian(mu={mu!r})", fn=fn,
                          delta=delta_at, bayes=bayes)
@@ -456,10 +461,11 @@ def tv_from_curve(f: TradeoffCurve) -> float:
 def delta_for_epsilon(f: TradeoffCurve, epsilon: float) -> float:
     """Smallest delta at which f dominates the (epsilon, delta) curve:
     delta(eps) = max_alpha (1 - f(alpha) - e^eps * alpha), by convex
-    conjugacy, read off the curve's own ``f.delta``."""
+    conjugacy, read off the curve's own ``f.delta`` at a Python float: on
+    numpy scalars the Gaussian's arithmetic would warn where it overflows."""
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-    return f.delta(epsilon)
+    return f.delta(float(epsilon))
 
 
 def _epsilon_at_delta(delta_of: Callable[[float], float],

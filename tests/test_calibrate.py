@@ -1,5 +1,6 @@
 """Noise calibration: closed-form anchors, tightness, monotonicity."""
 
+import dataclasses
 import math
 import warnings
 
@@ -24,6 +25,22 @@ def _req(**kw):
                     method="fdp", tolerance=1e-5)
     defaults.update(kw)
     return C.CalibrationRequest(**defaults)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_gaussian_eps_delta_past_the_epsilon_cap(k):
+    # at the default bracket's low end, sigma = 1e-3, no eps up to 1e6 meets
+    # delta: e^eps overflows there, so the bound is vacuous, and the answer
+    # lies within the tolerance (in log sigma) of the one from (0.1, 1000)
+    spec = A.MechanismSpec(family="gaussian", noise_scale=1e-3,
+                           compositions=k)
+    bound = C.method_bound(spec, "eps_delta")
+    assert bound.success(0.1) == bound.worst_case() == 1.0
+    req = _req(method="eps_delta", target_value=0.2, compositions=k,
+               tolerance=1e-4)
+    sigma = C.calibrate_noise(req).noise_scale
+    ref = C.calibrate_noise(dataclasses.replace(req, bracket=(0.1, 1000.0)))
+    assert abs(math.log(sigma / ref.noise_scale)) <= req.tolerance
 
 
 def test_request_validation():

@@ -210,22 +210,23 @@ def test_calibrate_randomized_response_rejected(capsys):
 
 
 def _fresh_cli(commands):
-    """[exit code, loaded scipy modules] after ``import fdprisk``, after
-    ``import fdprisk.cli`` and after each command, all in one fresh
-    interpreter: this one has loaded scipy already. A module stays loaded,
-    so a command's list holds those of the commands before it."""
+    """[exit code, loaded scipy and numpy.ma modules] after ``import
+    fdprisk``, after ``import fdprisk.cli`` and after each command, all in
+    one fresh interpreter: this one has loaded scipy already. A module stays
+    loaded, so a command's list holds those of the commands before it."""
     script = (
         "import contextlib, io, json, sys\n"
-        "def scipy():\n"
+        "def loaded():\n"
         "    return sorted(m for m in sys.modules"
-        " if m.partition('.')[0] == 'scipy')\n"
+        " if m.partition('.')[0] == 'scipy' or m == 'numpy.ma'"
+        " or m.startswith('numpy.ma.'))\n"
         "import fdprisk\n"
-        "out = [[None, scipy()]]\n"
+        "out = [[None, loaded()]]\n"
         "import fdprisk.cli as cli\n"
-        "out.append([None, scipy()])\n"
+        "out.append([None, loaded()])\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        out.append([cli.main(argv), scipy()])\n"
+        "        out.append([cli.main(argv), loaded()])\n"
         "print(json.dumps(out))\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -236,27 +237,32 @@ def _fresh_cli(commands):
 
 
 def test_cli_start_skips_slow_scipy_modules(tmp_path):
+    # no command loads any scipy module: the package runs on numpy alone.
+    # The two tradeoff commands on the default alpha grid come first, as
+    # they must not load numpy.ma either (numpy's unique does)
     mechanism = tmp_path / "laplace_k3.cfg"
     mechanism.write_text("[mechanism]\nfamily = laplace\nnoise_scale = 5.0\n"
                          "compositions = 3\n")
-    numpy_only = [["verify"], ["tradeoff", "--epsilon", "1.0"],
-                  ["tradeoff", "--epsilon", "1.0", "--delta", "1e-5"],
-                  ["tradeoff", "--laplace-eps", "1.0"],
-                  ["tradeoff", "--mechanism", str(mechanism)],
-                  ["bound", "--scenario",
-                   os.path.join(ROOT, "scenarios", "census_state.cfg")]]
-    steps = _fresh_cli(numpy_only)
-    assert steps == [[None, []]] * 2 + [[0, []]] * len(numpy_only)
-    # the Gaussian curves load scipy.special, but none of these
-    calibrate = ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
-                 "--methods", "fdp,zcdp,rdp", "--baseline"]
-    gaussian = [["bound", "--scenario",
-                 os.path.join(ROOT, "scenarios", "example_gaussian.cfg")],
-                calibrate + ["bernoulli:0.5"], calibrate + ["worst_case"]]
-    slow = {"scipy.stats", "scipy.signal", "scipy.optimize", "scipy.fft"}
-    for code, modules in _fresh_cli(gaussian)[2:]:
+    grid = [["tradeoff", "--gaussian-mu", "1"], ["tradeoff", "--epsilon", "1.0"]]
+    rest = [["bound", "--scenario",
+             os.path.join(ROOT, "scenarios", "example_gaussian.cfg")],
+            ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
+             "--methods", "fdp,zcdp,rdp,eps_delta"],
+            ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
+             "--methods", "fdp,zcdp,rdp", "--baseline", "bernoulli:0.5"],
+            ["tradeoff", "--mechanism",
+             os.path.join(ROOT, "tests", "golden", "rr_k18.cfg")],
+            ["queries", "--k-max", "4"], ["verify"],
+            ["tradeoff", "--epsilon", "1.0", "--delta", "1e-5"],
+            ["tradeoff", "--laplace-eps", "1.0"],
+            ["tradeoff", "--mechanism", str(mechanism)],
+            ["bound", "--scenario",
+             os.path.join(ROOT, "scenarios", "census_state.cfg")]]
+    steps = _fresh_cli(grid + rest)
+    assert steps[:4] == [[None, []]] * 2 + [[0, []]] * 2
+    for code, modules in steps[4:]:
         assert code == 0
-        assert not slow & set(modules)
+        assert not [m for m in modules if m.partition(".")[0] == "scipy"]
 
 
 def test_tradeoff_missing_source_is_config_error(capsys):
@@ -529,6 +535,9 @@ _EDGE_INPUTS = [
     # explicit RDP orders whose epsilon warned before the order was refused
     ("bound", "--scenario", "laplace_rdp_tinf.cfg"),
     ("bound", "--scenario", "gaussian_rdp_t1e308.cfg"),
+    # the default bracket's low end has no eps up to 1e6 at this delta
+    ("calibrate", "--family", "gaussian", "--methods", "eps_delta",
+     "--compositions", "3", "--target-adv", "0.2"),
 ]
 # scenario files the edge inputs name, written to the working directory
 with open(os.path.join(ROOT, "tests", "golden", "laplace_k3.cfg")) as _fh:
@@ -558,6 +567,15 @@ def test_verify_without_pairs_is_config_error(capsys, pairs):
     code, out = run(capsys, "verify", "--pairs", pairs)
     assert code == 2
     assert "PASSED" not in out
+
+
+def test_gaussian_eps_delta_default_bracket_answers(capsys):
+    # at sigma = 1e-3 no eps up to 1e6 meets delta, so the bound there is
+    # vacuous, and the calibration answers
+    code, out = run(capsys, "calibrate", "--family", "gaussian", "--methods",
+                    "eps_delta", "--compositions", "3", "--target-adv", "0.2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("eps_delta,14.7626")
 
 
 def test_overflow_and_rounding_edges_exit_codes(capsys):
