@@ -256,18 +256,27 @@ def _upper_envelope_of_lines(slopes: np.ndarray, intercepts: np.ndarray):
 
     The lines on the envelope are the upper hull of the points (slope,
     intercept), by point-line duality; of equal slopes the hull keeps the
-    largest intercept. Consecutive hull lines meet at the knots.
+    largest intercept. Consecutive hull lines meet at the knots. Round-off
+    ties and swaps the crossings of lines through one point, so a knot's
+    value is the max over the hull lines crossing within 8 ulps of it, and
+    one more line on each side.
     """
     s, c = lower_convex_hull(slopes, -intercepts)
     c = -c
     # a crossing that overflows (slopes a subnormal apart) lies outside [0, 1]
     with np.errstate(over="ignore"):
         xs = (c[:-1] - c[1:]) / (s[1:] - s[:-1])
-    knots_x = np.unique(np.concatenate([[0.0], xs[(xs > 0.0) & (xs < 1.0)],
-                                        [1.0]]))
-    values = s[None, :] * knots_x[:, None]
-    values += c[None, :]  # in place: one 128 MB matrix, not two
-    return knots_x, values.max(axis=1)
+    x = np.sort(np.concatenate([[0.0], xs[(xs > 0.0) & (xs < 1.0)], [1.0]]))
+    x = x[np.concatenate([[True], x[1:] != x[:-1]])]
+    # crossing i joins lines i and i + 1; the running max puts them in order
+    rising, slack = np.maximum.accumulate(xs), 8.0 * np.finfo(float).eps
+    lo = np.maximum(np.searchsorted(rising, x - slack * x, "left") - 1, 0)
+    hi = np.minimum(np.searchsorted(rising, x + slack * x, "right") + 1,
+                    s.size - 1)
+    width = hi - lo + 1
+    start = np.cumsum(width) - width
+    j = np.arange(width.sum()) - np.repeat(start - lo, width)
+    return x, np.maximum.reduceat(s[j] * np.repeat(x, width) + c[j], start)
 
 
 def curve_from_profile(profile: PrivacyProfile) -> TradeoffCurve:

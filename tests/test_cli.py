@@ -209,6 +209,13 @@ def test_calibrate_randomized_response_rejected(capsys):
     assert "its parameter is a flip probability, not a noise scale" in err
 
 
+def _child_env():
+    """This environment with the checkout's src first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _fresh_cli(commands):
     """[exit code, loaded scipy and numpy.ma modules] after ``import
     fdprisk``, after ``import fdprisk.cli`` and after each command, all in
@@ -228,41 +235,37 @@ def _fresh_cli(commands):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        out.append([cli.main(argv), loaded()])\n"
         "print(json.dumps(out))\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=_child_env(), capture_output=True, text=True,
+                         check=True)
     return json.loads(out.stdout)
 
 
 def test_cli_start_skips_slow_scipy_modules(tmp_path):
-    # no command loads any scipy module: the package runs on numpy alone.
-    # The two tradeoff commands on the default alpha grid come first, as
-    # they must not load numpy.ma either (numpy's unique does)
+    # no command loads any scipy module, nor numpy.ma (numpy's unique does):
+    # the package runs on numpy alone, the composed-Laplace envelopes of
+    # queries and tradeoff --mechanism on laplace_k3 included
     mechanism = tmp_path / "laplace_k3.cfg"
     mechanism.write_text("[mechanism]\nfamily = laplace\nnoise_scale = 5.0\n"
                          "compositions = 3\n")
-    grid = [["tradeoff", "--gaussian-mu", "1"], ["tradeoff", "--epsilon", "1.0"]]
-    rest = [["bound", "--scenario",
-             os.path.join(ROOT, "scenarios", "example_gaussian.cfg")],
-            ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
-             "--methods", "fdp,zcdp,rdp,eps_delta"],
-            ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
-             "--methods", "fdp,zcdp,rdp", "--baseline", "bernoulli:0.5"],
-            ["tradeoff", "--mechanism",
-             os.path.join(ROOT, "tests", "golden", "rr_k18.cfg")],
-            ["queries", "--k-max", "4"], ["verify"],
-            ["tradeoff", "--epsilon", "1.0", "--delta", "1e-5"],
-            ["tradeoff", "--laplace-eps", "1.0"],
-            ["tradeoff", "--mechanism", str(mechanism)],
-            ["bound", "--scenario",
-             os.path.join(ROOT, "scenarios", "census_state.cfg")]]
-    steps = _fresh_cli(grid + rest)
-    assert steps[:4] == [[None, []]] * 2 + [[0, []]] * 2
-    for code, modules in steps[4:]:
-        assert code == 0
-        assert not [m for m in modules if m.partition(".")[0] == "scipy"]
+    commands = [
+        ["tradeoff", "--gaussian-mu", "1"], ["tradeoff", "--epsilon", "1.0"],
+        ["bound", "--scenario",
+         os.path.join(ROOT, "scenarios", "example_gaussian.cfg")],
+        ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
+         "--methods", "fdp,zcdp,rdp,eps_delta"],
+        ["calibrate", "--family", "gaussian", "--target-adv", "0.2",
+         "--methods", "fdp,zcdp,rdp", "--baseline", "bernoulli:0.5"],
+        ["tradeoff", "--mechanism",
+         os.path.join(ROOT, "tests", "golden", "rr_k18.cfg")],
+        ["queries", "--k-max", "4"], ["verify"],
+        ["tradeoff", "--epsilon", "1.0", "--delta", "1e-5"],
+        ["tradeoff", "--laplace-eps", "1.0"],
+        ["tradeoff", "--mechanism", str(mechanism)],
+        ["bound", "--scenario",
+         os.path.join(ROOT, "scenarios", "census_state.cfg")]]
+    steps = _fresh_cli(commands)
+    assert steps == [[None, []]] * 2 + [[0, []]] * len(commands)
 
 
 def test_tradeoff_missing_source_is_config_error(capsys):
@@ -276,6 +279,28 @@ def test_tradeoff_profile_file(tmp_path, capsys):
     code, out = run(capsys, "tradeoff", "--profile", str(prof))
     assert code == 0
     assert out.startswith("alpha,f\n")
+
+
+def test_tradeoff_profile_of_20000_rows_fits_in_3_gb(tmp_path):
+    # the envelope's knot values take O(rows) memory: a (knots x lines)
+    # matrix here would be 34,146^2 doubles, 9.3 GB
+    import resource
+    g = tradeoff.gaussian_curve(1.0)
+    prof = tmp_path / "gaussian_20000.csv"
+    eps = np.linspace(0.0, 8.5, 20000).tolist()
+    prof.write_text("epsilon,delta\n" + "".join(
+        f"{e!r},{g.delta(e)!r}\n" for e in eps))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "fdprisk.cli", "tradeoff", "--profile",
+         str(prof)], env=_child_env(), capture_output=True, text=True,
+        preexec_fn=limit_memory, timeout=60)
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    assert out.stdout.startswith("alpha,f\n")
+    assert len(out.stdout.splitlines()) > 1000
 
 
 def test_malformed_csv_files_exit_2(tmp_path, capsys):

@@ -135,16 +135,37 @@ def test_profile_envelope_approximates_gaussian():
     assert np.max(gap) < 1e-3
 
 
+def _max_over(slopes, intercepts, x, chunk=256):
+    """max_j (intercepts[j] + slopes[j] * x) at each x, in chunks of x, in
+    the arithmetic of one broadcast over all lines, without its n^2 matrix."""
+    return np.concatenate([
+        (slopes[None, :] * x[i:i + chunk, None] + intercepts[None, :]).max(1)
+        for i in range(0, x.size, chunk)])
+
+
+def check_envelope_bits(slopes, intercepts):
+    """Knot values bit for bit the max over the envelope's own lines (the
+    upper hull of the dual points), and within 1e-12 below the max over
+    every line: the hull drops lines that win only by round-off, and its
+    cross-product test underflows on lines below about 1e-154."""
+    kx, ky = T._upper_envelope_of_lines(slopes, intercepts)
+    assert kx[0] == 0.0 and kx[-1] == 1.0 and np.all(np.diff(kx) > 0)
+    s, c = T.lower_convex_hull(slopes, -intercepts)
+    assert np.array_equal(ky, _max_over(s, -c, kx))
+    every = _max_over(slopes, intercepts, kx)
+    assert np.all(ky <= every) and np.all(every - ky <= 1e-12)
+    return kx, ky
+
+
 def test_envelope_knot_values_are_the_max_over_every_line():
     rng = np.random.default_rng(3)
     eps = np.sort(rng.uniform(0.0, 8.0, 300))
     slopes = np.concatenate([-np.exp(eps), -np.exp(-eps), [0.0]])
     intercepts = np.concatenate([rng.uniform(0.5, 1.0, 300),
                                  rng.uniform(0.0, 0.5, 300), [0.0]])
-    kx, ky = T._upper_envelope_of_lines(slopes, intercepts)
-    # bit for bit what one broadcast over all lines gives
-    ref = (intercepts[None, :] + slopes[None, :] * kx[:, None]).max(axis=1)
-    assert np.array_equal(ky, ref)
+    kx, ky = check_envelope_bits(slopes, intercepts)
+    # these lines lose none to the hull's round-off: every line's max
+    assert np.array_equal(ky, _max_over(slopes, intercepts, kx))
 
 
 @st.composite
@@ -163,13 +184,60 @@ def _lines(draw):
 @settings(max_examples=300, deadline=None)
 def test_envelope_values_are_the_brute_force_max(lines, xs):
     slopes, intercepts = lines
-    kx, ky = T._upper_envelope_of_lines(slopes, intercepts)
-    assert kx[0] == 0.0 and kx[-1] == 1.0 and np.all(np.diff(kx) > 0)
-    x = np.concatenate([kx, xs])
-    brute = (intercepts[None, :] + slopes[None, :] * x[:, None]).max(axis=1)
-    # at the knots and, by interpolation, between them
-    got = np.concatenate([ky, np.interp(xs, kx, ky)])
-    assert np.allclose(got, brute, rtol=0.0, atol=1e-12)
+    kx, ky = check_envelope_bits(slopes, intercepts)
+    # between the knots, by interpolation
+    brute = _max_over(slopes, intercepts, np.array(xs))
+    assert np.allclose(np.interp(xs, kx, ky), brute, rtol=0.0, atol=1e-12)
+
+
+def _profile_lines(eps, dlt):
+    """The lines of profile rows (eps, delta), as ``curve_from_profile``
+    draws them: 1 - delta - e^eps x and e^-eps (1 - delta - x), and 0."""
+    one_m_d = 1.0 - dlt
+    return (np.concatenate([-np.exp(eps), -np.exp(-eps), [0.0]]),
+            np.concatenate([one_m_d, np.exp(-eps) * one_m_d, [0.0]]))
+
+
+def _far_rows(rng):
+    """Rows at eps in [300, 700] with delta <= 1e-3: slopes to e^700 and
+    e^-700, where the hull's cross-product test underflows."""
+    n = rng.integers(1, 200)
+    dlt = rng.uniform(0.0, 1e-3, n) * (rng.random(n) < 0.7)
+    return np.sort(rng.uniform(300.0, 700.0, n)), np.sort(dlt)[::-1]
+
+
+def _tied_rows(rng):
+    """Rows sharing 2-3 deltas, 1 - delta from 1e-13 to 1: the lines
+    e^-eps (1 - delta - x) of each delta meet at (1 - delta, 0), so
+    round-off ties and swaps their crossings, as composed Laplace's
+    profile does at small noise."""
+    n = rng.integers(2, 200)
+    shared = -np.expm1(-rng.uniform(0.0, 30.0, rng.integers(2, 4)))
+    return (np.sort(rng.uniform(0.0, rng.choice([80.0, 300.0]), n)),
+            np.sort(rng.choice(shared, n))[::-1])
+
+
+@pytest.mark.parametrize("rows", [_far_rows, _tied_rows])
+def test_envelope_bits_on_drawn_profile_lines(rows):
+    # a window of the searchsorted line and its two neighbours misses the
+    # max on 112 of the 1,500 tied draws, by up to 3.4e-21
+    rng = np.random.default_rng(23)
+    for _ in range(1500):
+        check_envelope_bits(*_profile_lines(*rows(rng)))
+
+
+def test_envelope_bits_on_composed_laplace_ties(monkeypatch):
+    # at b = 0.1745, k = 40 the knot 9.88e-13 reads a window of 29 hull
+    # lines; the max there is 1.6e-42, where the searchsorted line and its
+    # two neighbours give 0
+    seen = []
+    envelope = T._upper_envelope_of_lines
+    monkeypatch.setattr(T, "_upper_envelope_of_lines",
+                        lambda s, c: seen.append((s, c)) or envelope(s, c))
+    A.curve_of(A.MechanismSpec("laplace", 0.17450085701972312,
+                               compositions=40))
+    (slopes, intercepts), = seen
+    check_envelope_bits(slopes, intercepts)
 
 
 def test_empty_profile_rejected():
