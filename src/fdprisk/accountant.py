@@ -267,7 +267,7 @@ def curve_of(spec: MechanismSpec, grid_step: float = 1e-4) -> TradeoffCurve:
     pld = pld_compose(pld_of_laplace(eps, grid_step=grid_step), k)
     # cover the full (rounded-up) loss support so delta reaches 0 at the
     # top and the envelope is exact near alpha = 0
-    top = float(pld.losses[-1]) + pld.step
+    top = pld.offset + pld.step * (pld.masses.size - 1) + pld.step
     eps_grid = np.linspace(0.0, top, 2000)
     return curve_from_profile(profile_from_pld(pld, eps_grid))
 

@@ -142,25 +142,14 @@ def _rdp_worst_case(eps: np.ndarray, frac: np.ndarray) -> float:
     bound is exp(min(0, min_t s_t (u + eps_t))), s_t = (t - 1)/t: its pieces
     are the lower convex hull of (0, 0) and the points (s_t, s_t eps_t) of
     finite eps. On the piece of line (s, c), b^s e^c - b peaks at u =
-    (c + log s)/(1 - s), clamped to the piece. Of rising orders, each point
-    failing the hull's test on its consecutive triple drops at once, until
-    none does: what is left is what ``lower_convex_hull`` keeps, to the bit,
-    without its loop. Other orders go through the hull first."""
+    (c + log s)/(1 - s), clamped to the piece."""
     fin = np.isfinite(eps)
     s = frac[fin]
-    xs, cs = np.concatenate(([0.0], s)), np.concatenate(([0.0], s * eps[fin]))
-    if not (xs[1:] > xs[:-1]).all():
-        xs, cs = lower_convex_hull(xs, cs)
-    while True:
-        dx, dc = xs[1:] - xs[:-1], cs[1:] - cs[:-1]
-        drop = dc[:-1] * (xs[2:] - xs[:-2]) >= (cs[2:] - cs[:-2]) * dx[:-1]
-        if not drop.any():
-            break
-        keep = np.concatenate(([True], ~drop, [True]))
-        xs, cs = xs[keep], cs[keep]
+    xs, cs = lower_convex_hull(np.concatenate(([0.0], s)),
+                               np.concatenate(([0.0], s * eps[fin])))
     if xs.size == 1:  # every order vacuous: the bound is 1 at each b > 0
         return 1.0
-    cross = -dc / dx  # u where neighbouring lines meet
+    cross = -(cs[1:] - cs[:-1]) / (xs[1:] - xs[:-1])  # where lines meet
     s, c = xs[1:], cs[1:]
     u = np.minimum(np.maximum((c + np.log(s)) / (1.0 - s),
                               np.concatenate((cross[1:], [-np.inf]))),

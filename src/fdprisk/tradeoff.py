@@ -58,37 +58,58 @@ def lower_convex_hull(alphas: np.ndarray, betas: np.ndarray):
     """Keep only the vertices of the lower convex hull of (alpha, beta) points.
 
     Repairs floating-point convexity violations after envelope or numeric
-    constructions; downstream Jensen-style bounds require convexity.
+    constructions; downstream Jensen-style bounds require convexity. The
+    kernel is Andrew's monotone chain (IPL 1979), with its loop run only
+    where a point can be popped or skipped.
     """
     order = np.argsort(alphas, kind="stable")
     alphas, betas = alphas[order], betas[order]
-    # the loop's own test on every consecutive triple: if none fails and no
-    # x repeats, the loop pops nothing, so the sorted input is the hull
+    n = alphas.size
+    # events: points whose x repeats the one before, or whose consecutive
+    # triple (i - 2, i - 1, i) fails the loop's own test
     x1, x2, x = alphas[:-2], alphas[1:-1], alphas[2:]
     y1, y2, y = betas[:-2], betas[1:-1], betas[2:]
-    if alphas.size and np.all(alphas[1:] > alphas[:-1]) and not np.any(
-            (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1)):
+    event = np.concatenate(([False], alphas[1:] == alphas[:-1]))
+    event[2:] |= (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1)
+    events = np.flatnonzero(event).tolist()
+    if not events:  # the loop pops nothing: the sorted input is the hull
         return alphas, betas
-    # Python floats in two lists: the same IEEE arithmetic as numpy
-    # scalars, at half the time
-    xs: list[float] = []
-    ys: list[float] = []
-    for x, y in zip(alphas.tolist(), betas.tolist()):
-        if xs and xs[-1] == x:
-            if y < ys[-1]:
-                xs.pop(); ys.pop()
+    events.append(n)
+    # Andrew's monotone chain on Python floats (the same IEEE arithmetic as
+    # numpy scalars, at half the time), its stack held as input indices
+    xs, ys = alphas.tolist(), betas.tolist()
+    hull: list[int] = []
+    i = k = 0
+    while i < n:
+        if not hull or hull[-1] == i - 1 and (len(hull) < 2
+                                              or hull[-2] == i - 2):
+            # in step with the input: the loop's test on each point up to
+            # the next event is its triple's, which passes, so it pushes
+            while events[k] < i:
+                k += 1
+            hull.extend(range(i, events[k]))
+            i = events[k]
+            if i == n:
+                break
+        x, y = xs[i], ys[i]
+        if xs[hull[-1]] == x:
+            if y < ys[hull[-1]]:
+                hull.pop()
             else:
+                i += 1
                 continue
-        while len(xs) >= 2:
-            x1, y1, x2, y2 = xs[-2], ys[-2], xs[-1], ys[-1]
+        while len(hull) >= 2:
+            x1, y1, x2, y2 = (xs[hull[-2]], ys[hull[-2]], xs[hull[-1]],
+                              ys[hull[-1]])
             # drop the middle point if it lies on or above the chord
             if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
-                xs.pop(); ys.pop()
+                hull.pop()
             else:
                 break
-        xs.append(x)
-        ys.append(y)
-    return np.array(xs), np.array(ys)
+        hull.append(i)
+        i += 1
+    keep = np.fromiter(hull, np.intp, len(hull))
+    return alphas[keep], betas[keep]
 
 
 # --------------------------------------------------------------------------

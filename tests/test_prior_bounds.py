@@ -127,8 +127,9 @@ def test_srr_worst_case_rdp_against_grid_oracle():
 
 
 def _rdp_worst_case_on_hull(eps, frac):
-    """The worst case through ``lower_convex_hull`` on every input: the
-    kernel's path before it dropped points without the hull's loop."""
+    """The worst case through ``lower_convex_hull``, with ``np.diff`` and
+    ``np.clip`` where the kernel slices and nests ``np.minimum`` and
+    ``np.maximum``."""
     fin = np.isfinite(eps)
     s = frac[fin]
     xs, cs = T.lower_convex_hull(np.append(0.0, s), np.append(0.0, s * eps[fin]))
