@@ -183,12 +183,14 @@ def profile_from_pld(pld: PldGrid, epsilons) -> PrivacyProfile:
     eps = np.asarray(epsilons, dtype=float)
     if eps.size == 0:
         raise ParameterError("epsilon grid must be non-empty")
+    # suffix sums over losses strictly greater than eps >= 0: the cells of
+    # loss <= 0 are never read, so only those of positive loss are summed
     losses = pld.losses
-    masses = pld.masses
-    # suffix sums over losses strictly greater than eps
+    pos = np.searchsorted(losses, 0.0, side="right")
+    losses, masses = losses[pos:], pld.masses[pos:]
     suffix_m = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
-    with np.errstate(under="ignore"):  # cells of loss <= 0 are never read
-        m_expneg = masses * np.exp(-np.maximum(losses, 0.0))
+    with np.errstate(under="ignore"):
+        m_expneg = masses * np.exp(-losses)
     suffix_me = np.concatenate([np.cumsum(m_expneg[::-1])[::-1], [0.0]])
     idx = np.searchsorted(losses, eps, side="right")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):

@@ -7,7 +7,9 @@ Where the risk falls monotonically in the noise scale, that is Illinois
 regula falsi (``tradeoff._solve``). Composed Laplace under fdp or eps_delta
 breaks monotonicity by a little: its discretized loss grid makes the risk a
 sawtooth in the noise scale, so it is bisected. The answer still meets the
-target, but there it need not be the smallest noise scale that does.
+target, but there it need not be the smallest noise scale that does. A
+point whose one-query risk, a lower bound on k queries' (Dong, Roth & Su,
+JRSS-B 2022), fails the target is ruled out without its k-fold PLD.
 """
 
 from __future__ import annotations
@@ -170,16 +172,25 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
     a composed Laplace PLD, until the bracket is at most ``req.tolerance``
     wide: the answer meets the target and, for a monotone risk, lies within
     the tolerance in log noise scale above the smallest noise scale that
-    does. The bracket's high end doubles, at most 16 times, before the
-    target is declared infeasible. A target already met at the bracket's
-    low end returns it with a trivial-target flag.
+    does; a bisected point whose one-query risk exceeds the target by over
+    1e-9, far above the PLD's FFT round-off, fails with no PLD built. The
+    bracket's high end doubles, at most 16 times, before the target is
+    declared infeasible. A target already met at the bracket's low end
+    returns it with a trivial-target flag.
     """
     if req.family == "randomized_response":
         raise ParameterError("randomized_response cannot be calibrated: its "
                              "parameter is a flip probability, not a noise "
                              "scale")
+    composed = (req.family == "laplace" and req.compositions > 1
+                and req.method in ("fdp", "eps_delta"))  # a sawtooth in sigma
+
+    def ruled_out(sigma):  # k queries risk at least what one query does
+        return composed and risk_at(dataclasses.replace(
+            req, compositions=1), sigma) > req.target_value + 1e-9
+
     lo, hi = float(req.bracket[0]), float(req.bracket[1])
-    risk_lo = risk_at(req, lo)
+    risk_lo = math.inf if ruled_out(lo) else risk_at(req, lo)
     if risk_lo <= req.target_value:
         return CalibrationResult(noise_scale=lo, status="trivial",
                                  achieved_risk=risk_lo)
@@ -200,10 +211,9 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
         return seen[log_sigma][1]
 
     lo, hi = math.log(lo), math.log(hi)
-    if (req.family == "laplace" and req.compositions > 1
-            and req.method in ("fdp", "eps_delta")):  # a sawtooth in sigma
-        x = _bisect(lambda x: risk_of(x) <= req.target_value, lo, hi,
-                    req.tolerance)
+    if composed:
+        x = _bisect(lambda x: not ruled_out(math.exp(x))
+                    and risk_of(x) <= req.target_value, lo, hi, req.tolerance)
     else:
         x = _solve(risk_of, req.target_value, lo, hi, risk_lo, risk_hi,
                    tol=req.tolerance)

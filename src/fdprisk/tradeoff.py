@@ -60,10 +60,12 @@ def lower_convex_hull(alphas: np.ndarray, betas: np.ndarray):
     Repairs floating-point convexity violations after envelope or numeric
     constructions; downstream Jensen-style bounds require convexity. The
     kernel is Andrew's monotone chain (IPL 1979), with its loop run only
-    where a point can be popped or skipped.
+    where a point can be popped or skipped. Sorted input is not copied, so
+    the arrays returned may be the caller's own.
     """
-    order = np.argsort(alphas, kind="stable")
-    alphas, betas = alphas[order], betas[order]
+    if not (alphas[:-1] <= alphas[1:]).all():  # sorted: a sort moves nothing
+        order = np.argsort(alphas, kind="stable")
+        alphas, betas = alphas[order], betas[order]
     n = alphas.size
     # events: points whose x repeats the one before, or whose consecutive
     # triple (i - 2, i - 1, i) fails the loop's own test

@@ -123,18 +123,17 @@ def test_calibrate_default_bracket_no_overflow(capsys, family, method,
                                            ("fdp", 2.44446)])
 def test_calibrate_composed_laplace_from_the_default_bracket(
         capsys, monkeypatch, method, sigma):
-    # at the bracket's low end, sigma = 1e-3, the two-fold PLD's losses
-    # reach -2000: e^2000 and e^eps overflow unless the cells of loss <= 0
-    # and the infinite products are skipped. A step of 0.5 there keeps that
-    # loss range and skips 20M cells, 13 s and 2 GB per command; the risk
-    # there stays above the target, so the answer is the default step's.
-    curve_of = accountant.curve_of
+    # at the bracket's low end, sigma = 1e-3, one query's risk already
+    # exceeds the target, so the two-fold PLD of 2e7 cells (13 s and 2 GB)
+    # is never built there, nor at any point up to eps = 100
+    curve_of, composed_eps = accountant.curve_of, []
 
-    def coarse_at_large_eps(spec, grid_step=1e-4):
-        big = spec.sensitivity / spec.noise_scale > 100.0
-        return curve_of(spec, 0.5 if big else grid_step)
+    def spy(spec, grid_step=1e-4):
+        if spec.compositions > 1:
+            composed_eps.append(spec.sensitivity / spec.noise_scale)
+        return curve_of(spec, grid_step)
 
-    monkeypatch.setattr(accountant, "curve_of", coarse_at_large_eps)
+    monkeypatch.setattr(accountant, "curve_of", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run(capsys, "calibrate", "--family", "laplace",
@@ -143,6 +142,25 @@ def test_calibrate_composed_laplace_from_the_default_bracket(
     assert code == 0
     assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
         sigma, abs=5e-6)
+    assert composed_eps and max(composed_eps) <= 100.0
+
+
+def test_calibrate_ten_laplace_queries_from_the_default_bracket_fits_in_3_gb():
+    # the ten-fold PLD at sigma = 1e-3 would hold 2e8 cells, a MemoryError
+    # under this limit; one query's risk rules that point out, and the
+    # command peaks near 40 MB
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "fdprisk.cli", "calibrate", "--family",
+         "laplace", "--compositions", "10", "--target-adv", "0.2",
+         "--baseline", "fixed:0.1"], env=_child_env(), capture_output=True,
+        text=True, preexec_fn=limit_memory, timeout=60)
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    assert out.stdout.splitlines()[1].startswith("fdp,4.0429380112335851,ok,")
 
 
 def test_bound_pso_large_epsilon_no_overflow(tmp_path, capsys):

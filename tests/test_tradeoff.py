@@ -701,6 +701,15 @@ def test_lower_convex_hull_bits_match_loop(points):
     check_hull_bits(points, T.lower_convex_hull(*points))
 
 
+@given(_hull_inputs())
+@settings(max_examples=100, deadline=None)
+def test_lower_convex_hull_bits_match_loop_on_sorted_input(points):
+    # sorted input is not sorted again: a stable sort would move nothing
+    order = np.argsort(points[0], kind="stable")
+    points = points[0][order], points[1][order]
+    check_hull_bits(points, T.lower_convex_hull(*points))
+
+
 def test_lower_convex_hull_bits_match_loop_on_real_curves(monkeypatch):
     # every hull of the goldens' composed-Laplace curves (b = 5, k <= 18),
     # of b = 2.2758, k = 59 and of 5,000-row Gaussian profiles
