@@ -19,12 +19,16 @@ import math
 import numpy as np
 
 from ._special import elementwise, gammaln
-from .oracle import DiscretePair, exact_tradeoff
 from .tradeoff import (ParameterError, PrivacyProfile, TradeoffCurve,
                        curve_from_profile, gaussian_curve, laplace_curve)
 
 _FAMILIES = ("gaussian", "laplace", "randomized_response")
 _NEIGHBORHOODS = ("add-remove", "replace-one")
+# the most cells ``pld_compose`` builds for one k-fold loss distribution
+# (a composed Laplace curve peaks near 43 bytes a cell) and ``rr_pair`` for
+# one binomial pmf (a randomized-response curve peaks near 185 bytes a cell)
+MAX_CELLS = 2 ** 26
+MAX_RR_CELLS = 2 ** 23
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,6 +158,9 @@ def pld_compose(pld: PldGrid, k: int) -> PldGrid:
     if k == 1:
         return pld
     n = k * (pld.masses.size - 1) + 1
+    if n > MAX_CELLS:
+        raise ParameterError(f"{k} compositions need {n} loss cells, past "
+                             f"the budget of {MAX_CELLS}")
     size = _fast_len(n)
     spec = np.fft.rfft(pld.masses, size)
     np.power(spec, k, out=spec)
@@ -214,6 +221,9 @@ def rr_pair(k: int, log_keep: float, log_flip: float):
     also the optimal composition of k eps0-DP mechanisms (Kairouz, Oh &
     Viswanath, ICML 2015).
     """
+    if k + 1 > MAX_RR_CELLS:
+        raise ParameterError(f"{k} compositions need {k + 1} loss cells, "
+                             f"past the budget of {MAX_RR_CELLS}")
     log_fact = elementwise(gammaln, np.arange(1.0, k + 2.0))  # log j!
     j = np.arange(k + 1)
     log_pmf = (log_fact[k] - log_fact - log_fact[::-1]
@@ -242,6 +252,7 @@ def randomized_response_curve(p: float, k: int = 1) -> TradeoffCurve:
         raise ParameterError("flip probability must lie in (0, 0.5)")
     if not (isinstance(k, int) and k >= 1):
         raise ParameterError("k must be an integer >= 1")
+    from .oracle import DiscretePair, exact_tradeoff
     pmf, delta = rr_pair(k, math.log1p(-p), math.log(p))
     curve = exact_tradeoff(DiscretePair(p=pmf, q=pmf[::-1]))
     return dataclasses.replace(

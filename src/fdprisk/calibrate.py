@@ -174,9 +174,9 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
     the tolerance in log noise scale above the smallest noise scale that
     does; a bisected point whose one-query risk exceeds the target by over
     1e-9, far above the PLD's FFT round-off, fails with no PLD built. The
-    bracket's high end doubles, at most 16 times, before the target is
-    declared infeasible. A target already met at the bracket's low end
-    returns it with a trivial-target flag.
+    bracket's high end doubles, at most 16 times or until the PLD step cannot
+    resolve a composed query, before the target is declared infeasible. A
+    target already met at the bracket's low end returns it as trivial.
     """
     if req.family == "randomized_response":
         raise ParameterError("randomized_response cannot be calibrated: its "
@@ -196,8 +196,12 @@ def calibrate_noise(req: CalibrationRequest) -> CalibrationResult:
                                  achieved_risk=risk_lo)
     risk_hi = risk_at(req, hi)
     while risk_hi > req.target_value and hi < req.bracket[1] * 2.0 ** 16:
-        hi *= 2.0
-        risk_hi = risk_at(req, hi)
+        try:
+            risk_hi, hi = risk_at(req, 2.0 * hi), 2.0 * hi
+        except ParameterError:  # eps per query below half the PLD step
+            if not composed:
+                raise
+            break
     if risk_hi > req.target_value:
         raise InfeasibleTargetError(
             f"target {req.target_kind}={req.target_value} unreachable: "

@@ -4,24 +4,19 @@ Subcommands: ``tradeoff`` (emit curve knots), ``bound`` (risk-bound tables),
 ``calibrate`` (noise calibration), ``queries`` (Laplace query-count case
 study), ``verify`` (brute-force oracle corpus). Output is CSV by default,
 ``--format json`` as alternative. Exit codes: 0 success, 2 parse/config
-error, 3 infeasible calibration, 4 verification failure.
+error, 3 infeasible calibration, 4 verification failure. Each command
+imports the layers it runs when it runs, so a cold process loads no more.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import accountant, calibrate, oracle, prior_bounds, risk, tradeoff
-from .accountant import MechanismSpec
-from .calibrate import CalibrationRequest, InfeasibleTargetError
-from .risk import RISK_REPORT_CSV_HEADER, BaselineSpec, RiskReport
+from . import tradeoff
 from .tradeoff import ParameterError, TradeoffCurve
 
 OUTPUT_DIR_ENV = "FDPRISK_OUTPUT_DIR"
@@ -36,9 +31,10 @@ def _emit(args, lines: list[str], payload=None) -> None:
     """Print the lines, or the payload as JSON under ``--format json``, to
     stdout or to ``--output``: a relative path resolves under
     $FDPRISK_OUTPUT_DIR when that is set, an absolute one is used as given."""
-    text = (json.dumps(payload, indent=2)
-            if getattr(args, "format", None) == "json"
-            else "\n".join(lines)) + "\n"
+    if getattr(args, "format", None) == "json":
+        import json
+        lines = [json.dumps(payload, indent=2)]
+    text = "\n".join(lines) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -65,7 +61,8 @@ def _curve_from_args(args) -> TradeoffCurve:
     if args.laplace_eps is not None:
         return tradeoff.laplace_curve(args.laplace_eps)
     if args.rr_p is not None:
-        return accountant.randomized_response_curve(args.rr_p)
+        from .accountant import randomized_response_curve
+        return randomized_response_curve(args.rr_p)
     if args.epsilon is not None:
         return tradeoff.curve_from_epsilon_delta(args.epsilon, args.delta or 0.0)
     if args.profile is not None:
@@ -85,13 +82,15 @@ def cmd_tradeoff(args) -> int:
     curve = _curve_from_args(args)
     grid = (None if curve.is_piecewise
             else tradeoff.default_alpha_grid(args.grid_points))
-    knots = curve.as_knots(grid)
-    rows: list[str] = []  # curve_to_csv writes one newline-ended row a call
-    out = argparse.Namespace(write=lambda row: rows.append(row[:-1]))
-    tradeoff.curve_to_csv(TradeoffCurve(curve.provenance, knots=knots), out)
-    _emit(args, rows, {"provenance": curve.provenance,
-                      "knots": [{"alpha": a, "f": b}
-                                for a, b in knots.tolist()]})
+    if args.format == "json":
+        _emit(args, [], {"provenance": curve.provenance,
+                         "knots": [{"alpha": a, "f": b} for a, b
+                                   in curve.as_knots(grid).tolist()]})
+    else:
+        rows: list[str] = []  # curve_to_csv writes a newline-ended row a call
+        out = argparse.Namespace(write=lambda row: rows.append(row[:-1]))
+        tradeoff.curve_to_csv(curve, out, grid)
+        _emit(args, rows)
     return EXIT_OK
 
 
@@ -101,6 +100,7 @@ def cmd_tradeoff(args) -> int:
 def parse_baseline(text: str) -> BaselineSpec:
     """Parse ``fixed:0.1`` / ``pso:5000:2e-4`` / ``spso:1e-4`` /
     ``bernoulli:0.5`` / ``worst_case`` baseline descriptors."""
+    from .risk import BaselineSpec
     parts = text.strip().split(":")
     kind = parts[0].strip().lower()
     try:
@@ -123,6 +123,7 @@ def parse_baseline(text: str) -> BaselineSpec:
 def parse_methods(text: str) -> list[tuple[str, str, float | None]]:
     """A comma list of methods -> (label, method, rdp_order) per non-empty
     token; ``rdp-t2`` pins the RDP order."""
+    from .calibrate import METHODS
     methods = []
     for label in filter(None, map(str.strip, text.split(","))):
         m = label.lower()
@@ -131,7 +132,7 @@ def parse_methods(text: str) -> list[tuple[str, str, float | None]]:
                 methods.append((label, "rdp", float(m[5:])))
             except ValueError:
                 raise ParameterError(f"bad RDP order in {label!r}") from None
-        elif m in calibrate.METHODS:
+        elif m in METHODS:
             methods.append((label, m, None))
         else:
             raise ParameterError(f"unknown method {label!r}")
@@ -142,6 +143,7 @@ def parse_methods(text: str) -> list[tuple[str, str, float | None]]:
 
 def _read_config(path: str) -> configparser.ConfigParser:
     """A config file with a ``[mechanism]`` section."""
+    import configparser
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -173,6 +175,8 @@ def _mechanism(cp: configparser.ConfigParser):
             raise ParameterError(f"invalid mechanism config: {exc}") from None
         return tradeoff.curve_from_epsilon_delta(**params), None, params
     else:
+        import dataclasses
+        from .accountant import MechanismSpec, curve_of
         try:
             spec = MechanismSpec(
                 family=sec.get("family", "").strip().lower(),
@@ -182,7 +186,7 @@ def _mechanism(cp: configparser.ConfigParser):
                 neighborhood=sec.get("neighborhood", "add-remove").strip())
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"invalid mechanism config: {exc}") from None
-        return accountant.curve_of(spec), spec, dataclasses.asdict(spec)
+        return curve_of(spec), spec, dataclasses.asdict(spec)
     return curve, None, {"curve": curve.provenance}
 
 
@@ -191,17 +195,21 @@ def _method_bound(mech: tuple, label: str, method: str,
     """One bound of a ``_mechanism`` triple: the curve for fdp,
     ``calibrate.method_bound`` for a mechanism spec, and for eps_delta on a
     bare (epsilon, delta) pair, ``prior_bounds.eps_delta_bound``."""
+    from .calibrate import method_bound
+    from .prior_bounds import eps_delta_bound
     curve, spec, params = mech
     if method == "fdp":
         return curve
     if spec is not None:
-        return calibrate.method_bound(spec, method, order)
+        return method_bound(spec, method, order)
     if method == "eps_delta" and "epsilon" in params:
-        return prior_bounds.eps_delta_bound(params["epsilon"], params["delta"])
+        return eps_delta_bound(params["epsilon"], params["delta"])
     raise ParameterError(f"method {label!r} needs a parametric mechanism spec")
 
 
 def cmd_bound(args) -> int:
+    from .calibrate import bound_at
+    from .risk import RISK_REPORT_CSV_HEADER, RiskReport
     cp = _read_config(args.scenario)
     mech = _mechanism(cp)
     labels = cp["baselines"].values() if cp.has_section("baselines") else ()
@@ -217,8 +225,7 @@ def cmd_bound(args) -> int:
                 if (method, order) not in bounds:
                     bounds[method, order] = _method_bound(mech, m_label,
                                                           method, order)
-                base, succ, adv = calibrate.bound_at(bounds[method, order],
-                                                     baseline)
+                base, succ, adv = bound_at(bounds[method, order], baseline)
                 rep = RiskReport(method=m_label, baseline_value=base,
                                  success_bound=succ, advantage_bound=adv,
                                  parameters={**mech[2], "baseline": b_label})
@@ -240,6 +247,8 @@ def cmd_bound(args) -> int:
 # calibrate
 
 def cmd_calibrate(args) -> int:
+    from .calibrate import (CalibrationRequest, InfeasibleTargetError,
+                            calibrate_noise)
     baseline = parse_baseline(args.baseline)
     if args.target_adv is not None:
         target_kind, target_value = "advantage", args.target_adv
@@ -250,7 +259,7 @@ def cmd_calibrate(args) -> int:
     rows = []
     for label, method, order in parse_methods(args.methods):
         try:
-            r = calibrate.calibrate_noise(CalibrationRequest(
+            r = calibrate_noise(CalibrationRequest(
                 family=args.family, target_kind=target_kind,
                 target_value=target_value, baseline=baseline, method=method,
                 sensitivity=args.sensitivity, compositions=args.compositions,
@@ -275,9 +284,11 @@ def cmd_calibrate(args) -> int:
 # queries
 
 def cmd_queries(args) -> int:
+    import dataclasses
+    from . import accountant, prior_bounds, risk
     # checks b and the sensitivity before they are divided
-    spec = MechanismSpec(family="laplace", noise_scale=args.b,
-                         sensitivity=args.sensitivity)
+    spec = accountant.MechanismSpec(family="laplace", noise_scale=args.b,
+                                    sensitivity=args.sensitivity)
     eps = spec.sensitivity / spec.noise_scale
     if args.k_max < 1:
         raise ParameterError(f"--k-max must be >= 1, got {args.k_max}")
@@ -330,6 +341,7 @@ def _curve_invariant_violations(curve: TradeoffCurve,
 def run_verification(seed: int = 0,
                      n_pairs: int = 60) -> tuple[bool, list[str]]:
     """Oracle corpus: curve invariants, TV consistency, attack soundness."""
+    from . import oracle, risk
     if n_pairs < 1 or seed < 0:
         raise ParameterError("verification needs pairs >= 1 and seed >= 0, "
                              f"got {n_pairs} and {seed}")

@@ -1,7 +1,7 @@
 """Exact answers for finite-output mechanism pairs.
 
 Computes exact trade-off curves, TV distance, and optimal-attack success by
-direct enumeration / likelihood-ratio ordering. ``exact_tradeoff`` is also
+likelihood-ratio ordering and the Bayes rule. ``exact_tradeoff`` is also
 the production curve of randomized response at every composition count
 (``accountant.randomized_response_curve``); the ``verify`` CLI command and
 the test suite use the rest.
@@ -10,7 +10,6 @@ the test suite use the rest.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -69,7 +68,10 @@ def optimal_attack_success(channels: np.ndarray, prior: np.ndarray) -> float:
 
     ``channels[z, theta]`` is the probability the mechanism outputs ``theta``
     when candidate ``z`` was used; ``prior`` is the attacker's prior over
-    candidates. Enumerates every deterministic attack map outcome -> guess.
+    candidates. The Bayes rule is optimal: at each outcome guess the
+    candidate of largest ``prior[z] * channels[z, theta]``. Rounded addition
+    is monotone, so summing those maxima over theta in order gives exactly
+    the largest of the sums an enumeration of attack maps would give.
     """
     ch = np.asarray(channels, dtype=float)
     pr = np.asarray(prior, dtype=float)
@@ -79,13 +81,6 @@ def optimal_attack_success(channels: np.ndarray, prior: np.ndarray) -> float:
         raise ParameterError("each channel row must be a distribution")
     if abs(pr.sum() - 1.0) > 1e-12 or np.any(pr < 0):
         raise ParameterError("prior must be a distribution")
-    n_cand, n_out = ch.shape
-    if n_cand * n_out > 16:
-        raise ParameterError("instance too large for brute force (limit 16)")
-    best = 0.0
-    for attack in itertools.product(range(n_cand), repeat=n_out):
-        succ = sum(pr[z] * ch[z, theta]
-                   for theta in range(n_out) for z in (attack[theta],))
-        best = max(best, succ)
-    return float(best)
-
+    if ch.size > 16:
+        raise ParameterError("instance too large (limit 16 cells)")
+    return float(sum((pr[:, None] * ch).max(axis=0).tolist()))

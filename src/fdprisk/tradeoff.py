@@ -531,16 +531,11 @@ def gaussian_mu_at(epsilon: float, delta: float) -> float:
 # --------------------------------------------------------------------------
 # serialization (CSV, full double precision)
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def curve_to_csv(curve: TradeoffCurve, out, grid: np.ndarray | None = None) -> None:
     """Write curve knots as ``alpha,f`` CSV rows at 17 significant digits."""
-    knots = curve.as_knots(grid)
     out.write("alpha,f\n")
-    for a, b in knots:
-        out.write(f"{_fmt(a)},{_fmt(b)}\n")
+    for a, b in curve.as_knots(grid).tolist():
+        out.write(f"{a:.17g},{b:.17g}\n")
 
 
 def curve_from_csv(inp) -> TradeoffCurve:

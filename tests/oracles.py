@@ -7,6 +7,7 @@ shares none of their structure. ``pld_of_gaussian`` is a test input
 instead: a PLD whose composition the Gaussian closed form checks.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -231,6 +232,19 @@ def np_tradeoff_points(p, q):
             for a, b in zip(ca[boundary], cb[boundary])]
     pts.append((1.0, 0.0))
     return sorted(set(pts))
+
+
+def attack_success_brute_force(channels, prior) -> float:
+    """Best success over every deterministic attack map outcome -> guess,
+    each map's success summed over outcomes in order."""
+    ch = np.asarray(channels, dtype=float)
+    pr = np.asarray(prior, dtype=float)
+    n_cand, n_out = ch.shape
+    best = 0.0
+    for attack in itertools.product(range(n_cand), repeat=n_out):
+        best = max(best, sum(pr[z] * ch[z, theta]
+                             for theta, z in enumerate(attack)))
+    return float(best)
 
 
 def np_tradeoff_eval(p, q, alpha):

@@ -65,6 +65,15 @@ def test_randomized_response_matches_oracle_exactly():
             assert np.max(np.abs(f(alphas) - want)) <= 1e-14, (k, p)
 
 
+def test_cell_budget_refused_before_allocating():
+    # one cell past the budget each; neither allocates a cell of it
+    with pytest.raises(T.ParameterError, match="budget"):
+        A.rr_pair(A.MAX_RR_CELLS, math.log(0.7), math.log(0.3))
+    pld = A.pld_of_laplace(0.2)  # about 4,000 cells of 1e-4 a query
+    with pytest.raises(T.ParameterError, match="budget"):
+        A.pld_compose(pld, A.MAX_CELLS // 4000 + 1)
+
+
 def test_randomized_response_many_compositions():
     # 4000 answers: most binomial atoms underflow, none may warn
     from scipy.stats import binom

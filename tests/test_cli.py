@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdprisk import accountant, calibrate, cli, tradeoff
+from fdprisk import accountant, calibrate, cli, oracle, tradeoff
 from fdprisk.calibrate import CalibrationRequest
 
 GAUSS_SCENARIO = """
@@ -163,6 +163,48 @@ def test_calibrate_ten_laplace_queries_from_the_default_bracket_fits_in_3_gb():
     assert out.stdout.splitlines()[1].startswith("fdp,4.0429380112335851,ok,")
 
 
+@pytest.mark.parametrize("mechanism, budget", [
+    ("family = randomized_response\nnoise_scale = 0.3\ncompositions = "
+     "1000000000", accountant.MAX_RR_CELLS),
+    ("family = randomized_response\nnoise_scale = 0.3\ncompositions = "
+     "20000000", accountant.MAX_RR_CELLS),
+    ("family = laplace\nnoise_scale = 5.0\ncompositions = 100000",
+     accountant.MAX_CELLS)], ids=["rr-k1e9", "rr-k2e7", "laplace-b5-k1e5"])
+def test_composition_past_the_cell_budget_is_config_error(tmp_path,
+                                                          mechanism, budget):
+    # refused before allocating: the 7.45 GiB randomized-response pmf, the
+    # 3.7 GB randomized-response curve at k = 2e7 and the 3 GiB Laplace
+    # spectrum each ended in a traceback under this limit
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    cfg = tmp_path / "mechanism.cfg"
+    cfg.write_text(f"[mechanism]\n{mechanism}\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "fdprisk.cli", "tradeoff", "--mechanism",
+         str(cfg)], env=_child_env(), capture_output=True, text=True,
+        preexec_fn=limit_memory, timeout=60)
+    assert out.returncode == 2 and "Traceback" not in out.stderr, out.stderr
+    assert f"past the budget of {budget}" in out.stderr
+
+
+@pytest.mark.parametrize("target", [
+    ("--target-succ", "0.6", "--baseline", "bernoulli:0.1", "--methods",
+     "fdp"),
+    ("--target-adv", "0.05", "--baseline", "pso:5000:2e-5", "--methods",
+     "eps_delta")], ids=["fdp-success", "eps_delta-pso"])
+def test_composed_laplace_target_no_noise_meets_is_infeasible(capsys, target):
+    # the bracket doubles until eps per query is below half the PLD step;
+    # the message names the largest noise scale whose risk was evaluated
+    code = cli.main(["calibrate", "--family", "laplace", "--compositions",
+                     "2", *target])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "unreachable: risk at noise_scale=16000.0 is still" in err
+
+
 def test_bound_pso_large_epsilon_no_overflow(tmp_path, capsys):
     # e^800 overflows: the (eps, delta) singling-out bound is vacuous at
     # w > 0 and n * delta at w = 0
@@ -284,6 +326,58 @@ def test_cli_start_skips_slow_scipy_modules(tmp_path):
          os.path.join(ROOT, "scenarios", "census_state.cfg")]]
     steps = _fresh_cli(commands)
     assert steps == [[None, []]] * 2 + [[0, []]] * len(commands)
+
+
+_CORE = ["fdprisk", "fdprisk._special", "fdprisk.cli", "fdprisk.tradeoff"]
+_BOUNDS = ["fdprisk.accountant", "fdprisk.calibrate", "fdprisk.prior_bounds",
+           "fdprisk.risk"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["bound", "--scenario", "scenarios/example_gaussian.cfg"], _BOUNDS),
+    (["tradeoff", "--gaussian-mu", "1.0"], []),
+    (["tradeoff", "--epsilon", "1.0", "--delta", "1e-5"], []),
+    (["tradeoff", "--mechanism", "tests/golden/laplace_k3.cfg"],
+     ["fdprisk.accountant"]),
+    (["calibrate", "--family", "gaussian", "--methods", "fdp,zcdp,rdp",
+      "--target-adv", "0.2", "--baseline", "fixed:0.1"], _BOUNDS),
+    (["verify", "--seed", "3"], ["fdprisk.oracle", "fdprisk.risk"]),
+], ids=["bound", "tradeoff-mu", "tradeoff-eps-delta", "tradeoff-mechanism",
+        "calibrate", "verify"])
+def test_cold_command_loads_only_its_layers(argv, layers):
+    # each command of the cold-start benchmark, in a fresh interpreter:
+    # the fdprisk modules loaded once main returns
+    script = ("import contextlib, io, json, sys\n"
+              "from fdprisk import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules"
+              " if m.partition('.')[0] == 'fdprisk')]))\n")
+    out = subprocess.run([sys.executable, "-c", script, *argv], cwd=ROOT,
+                         env=_child_env(), capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout) == [0, sorted(_CORE + layers)]
+
+
+def test_package_names_resolve_lazily():
+    # import fdprisk loads no submodule (nor numpy); each public name is
+    # its submodule's own object, and a star import binds exactly __all__
+    script = ("import sys, fdprisk\n"
+              "print(sorted(m for m in sys.modules if m == 'numpy'"
+              " or m.partition('.')[0] == 'fdprisk'))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["['fdprisk']"]
+    import fdprisk
+    for name in fdprisk.__all__:
+        obj = getattr(fdprisk, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from fdprisk import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == fdprisk.__all__
+    assert set(fdprisk.__all__) <= set(dir(fdprisk))
+    with pytest.raises(AttributeError):
+        fdprisk.no_such_name
 
 
 def test_tradeoff_missing_source_is_config_error(capsys):
@@ -521,7 +615,7 @@ def test_verify_injected_violation_fails(capsys, monkeypatch):
     bad = tradeoff.TradeoffCurve(provenance="injected",
                                  knots=np.array([[0.0, 1.0], [0.5, 0.1],
                                                  [0.6, 0.4], [1.0, 0.0]]))
-    monkeypatch.setattr(cli.oracle, "exact_tradeoff", lambda pair: bad)
+    monkeypatch.setattr(oracle, "exact_tradeoff", lambda pair: bad)
     code, out = run(capsys, "verify", "--pairs", "5")
     assert code == 4
     # each pair's invariant, TV and soundness failures in turn, then one

@@ -81,6 +81,32 @@ def test_optimal_attack_size_limit():
         O.optimal_attack_success(ch, np.full(5, 0.2))
 
 
+@st.composite
+def _attack_instances(draw):
+    """A channel and prior of every shape up to 16 cells, from weights
+    0-3, which give many zero masses and tied posteriors, or from floats."""
+    n_cand = draw(st.integers(1, 16))
+    n_out = draw(st.integers(1, 16 // n_cand))
+    cell = draw(st.sampled_from([st.integers(0, 3).map(float),
+                                 st.floats(0.0, 1.0)]))
+
+    def distribution(n):
+        w = np.array(draw(st.lists(cell, min_size=n, max_size=n)
+                          .filter(lambda v: sum(v) > 0)))
+        return w / w.sum()
+
+    return (np.array([distribution(n_out) for _ in range(n_cand)]),
+            distribution(n_cand))
+
+
+@given(_attack_instances())
+@settings(max_examples=300, deadline=None)
+def test_bayes_rule_equals_brute_force_bit_for_bit(instance):
+    channels, prior = instance
+    assert O.optimal_attack_success(channels, prior) \
+        == oracles.attack_success_brute_force(channels, prior)
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_random_pairs_soundness(seed):
