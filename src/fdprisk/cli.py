@@ -55,42 +55,77 @@ def _table(fields: tuple[str, ...], rows: list[tuple]):
 # --------------------------------------------------------------------------
 # tradeoff
 
-def _curve_from_args(args) -> TradeoffCurve:
-    if args.gaussian_mu is not None:
-        return tradeoff.gaussian_curve(args.gaussian_mu)
-    if args.laplace_eps is not None:
-        return tradeoff.laplace_curve(args.laplace_eps)
-    if args.rr_p is not None:
+# each key, a tradeoff flag's dest or a [mechanism] key, -> the one curve
+# source that reads it
+_SOURCE = {key: source for source, keys in (
+    ("spec", "family noise_scale sensitivity compositions neighborhood"),
+    ("epsilon", "epsilon delta"),
+    ("mu", "mu"), ("laplace_eps", "laplace_eps"), ("rr_p", "rr_p"),
+    ("profile_file", "profile_file"), ("curve_file", "curve_file"),
+) for key in keys.split()}
+
+
+def _source(keys) -> tuple:
+    """(curve, spec or None, report parameters) of a key -> text map of one
+    source's keys, each text parsed here. A key no source reads, keys of
+    two sources or a missing key is a ParameterError that names them."""
+    stray = [k for k in keys if k not in _SOURCE]
+    sources = {_SOURCE.get(k) for k in keys}
+    if stray or len(sources) != 1:
+        raise ParameterError(
+            f"no curve source reads {', '.join(stray)}" if stray else
+            "need the keys of one curve source, got " + (", ".join(
+                f"{k} ({_SOURCE[k]})" for k in keys) or "none"))
+    (source,) = sources
+
+    def value(key, default=None, parse=float):
+        text = keys.get(key, default)
+        if text is None:
+            raise ParameterError(f"curve keys {', '.join(keys)} need {key}")
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ParameterError(f"invalid {key}: {exc}") from None
+
+    if source == "spec":
+        import dataclasses
+        from .accountant import MechanismSpec, curve_of
+        spec = MechanismSpec(
+            family=value("family", parse=str).strip().lower(),
+            noise_scale=value("noise_scale"),
+            sensitivity=value("sensitivity", "1.0"),
+            compositions=value("compositions", "1", int),
+            neighborhood=value("neighborhood", "add-remove", str).strip())
+        return curve_of(spec), spec, dataclasses.asdict(spec)
+    if source == "epsilon":
+        params = {"epsilon": value("epsilon"), "delta": value("delta", "0")}
+        return tradeoff.curve_from_epsilon_delta(**params), None, params
+    if source == "rr_p":
         from .accountant import randomized_response_curve
-        return randomized_response_curve(args.rr_p)
-    if args.epsilon is not None:
-        return tradeoff.curve_from_epsilon_delta(args.epsilon, args.delta or 0.0)
-    if args.profile is not None:
-        with open(args.profile) as fh:
-            return tradeoff.curve_from_profile(tradeoff.profile_from_csv(fh))
-    if args.curve is not None:
-        with open(args.curve) as fh:
-            return tradeoff.curve_from_csv(fh)
-    if args.mechanism is not None:
-        return _mechanism(_read_config(args.mechanism))[0]
-    raise ParameterError(
-        "specify a curve source: --gaussian-mu, --laplace-eps, --rr-p, "
-        "--epsilon [--delta], --profile, --curve, or --mechanism")
+        curve = randomized_response_curve(value("rr_p"))
+    elif source.endswith("_file"):
+        with open(keys[source]) as fh:
+            curve = (tradeoff.curve_from_csv(fh) if source == "curve_file"
+                     else tradeoff.curve_from_profile(
+                         tradeoff.profile_from_csv(fh)))
+    else:
+        curve = (tradeoff.gaussian_curve if source == "mu"
+                 else tradeoff.laplace_curve)(value(source))
+    return curve, None, {"curve": curve.provenance}
 
 
 def cmd_tradeoff(args) -> int:
-    curve = _curve_from_args(args)
+    keys = {k: v for k, v in vars(args).items()
+            if k in _SOURCE and v is not None}
+    if args.mechanism is not None and keys:
+        raise ParameterError("--mechanism takes no other curve flag, got "
+                             + ", ".join(keys))
+    curve = _source(keys if args.mechanism is None
+                    else _read_config(args.mechanism)["mechanism"])[0]
     grid = (None if curve.is_piecewise
             else tradeoff.default_alpha_grid(args.grid_points))
-    if args.format == "json":
-        _emit(args, [], {"provenance": curve.provenance,
-                         "knots": [{"alpha": a, "f": b} for a, b
-                                   in curve.as_knots(grid).tolist()]})
-    else:
-        rows: list[str] = []  # curve_to_csv writes a newline-ended row a call
-        out = argparse.Namespace(write=lambda row: rows.append(row[:-1]))
-        tradeoff.curve_to_csv(curve, out, grid)
-        _emit(args, rows)
+    lines, knots = _table(("alpha", "f"), curve.as_knots(grid).tolist())
+    _emit(args, lines, {"provenance": curve.provenance, "knots": knots})
     return EXIT_OK
 
 
@@ -99,25 +134,25 @@ def cmd_tradeoff(args) -> int:
 
 def parse_baseline(text: str) -> BaselineSpec:
     """Parse ``fixed:0.1`` / ``pso:5000:2e-4`` / ``spso:1e-4`` /
-    ``bernoulli:0.5`` / ``worst_case`` baseline descriptors."""
+    ``bernoulli:0.5`` / ``worst_case`` baseline descriptors, each with
+    exactly the fields its kind reads."""
     from .risk import BaselineSpec
-    parts = text.strip().split(":")
-    kind = parts[0].strip().lower()
+    kind, *fields = text.strip().split(":")
+    kind = kind.strip().lower()
+    # each kind's field types; spso's simple singling-out weight w is a
+    # fixed baseline w
+    types = {"fixed": (float,), "spso": (float,), "bernoulli": (float,),
+             "pso": (int, float), "worst_case": ()}.get(kind)
+    if types is None or len(fields) != len(types):
+        raise ParameterError(f"bad baseline {text!r}: " + (
+            "unknown kind" if types is None else
+            f"{kind} takes {len(types)} field(s), got {len(fields)}"))
+    make = {"spso": "fixed", "pso": "pso_weight"}.get(kind, kind)
     try:
-        if kind == "fixed":
-            return BaselineSpec.fixed(float(parts[1]))
-        if kind == "pso":
-            return BaselineSpec.pso_weight(int(parts[1]), float(parts[2]))
-        if kind == "spso":
-            # the simple singling-out weight w is a fixed baseline w
-            return BaselineSpec.fixed(float(parts[1]))
-        if kind == "bernoulli":
-            return BaselineSpec.bernoulli(float(parts[1]))
-        if kind == "worst_case":
-            return BaselineSpec.worst_case()
-    except (IndexError, ValueError) as exc:
+        return getattr(BaselineSpec, make)(
+            *(t(v) for t, v in zip(types, fields)))
+    except ValueError as exc:
         raise ParameterError(f"bad baseline {text!r}: {exc}") from None
-    raise ParameterError(f"unknown baseline kind in {text!r}")
 
 
 def parse_methods(text: str) -> list[tuple[str, str, float | None]]:
@@ -155,44 +190,9 @@ def _read_config(path: str) -> configparser.ConfigParser:
     return cp
 
 
-def _mechanism(cp: configparser.ConfigParser):
-    """(curve, spec or None, report parameters) of the ``[mechanism]``
-    section: a curve or profile CSV file, a bare epsilon / delta, or the
-    keys family, noise_scale, sensitivity, compositions and neighborhood of
-    a ``MechanismSpec``."""
-    sec = cp["mechanism"]
-    if "curve_file" in sec:
-        with open(sec["curve_file"]) as fh:
-            curve = tradeoff.curve_from_csv(fh)
-    elif "profile_file" in sec:
-        with open(sec["profile_file"]) as fh:
-            curve = tradeoff.curve_from_profile(tradeoff.profile_from_csv(fh))
-    elif "epsilon" in sec and "family" not in sec:
-        try:
-            params = {"epsilon": float(sec["epsilon"]),
-                      "delta": float(sec.get("delta", "0"))}
-        except ValueError as exc:
-            raise ParameterError(f"invalid mechanism config: {exc}") from None
-        return tradeoff.curve_from_epsilon_delta(**params), None, params
-    else:
-        import dataclasses
-        from .accountant import MechanismSpec, curve_of
-        try:
-            spec = MechanismSpec(
-                family=sec.get("family", "").strip().lower(),
-                noise_scale=float(sec.get("noise_scale")),
-                sensitivity=float(sec.get("sensitivity", "1.0")),
-                compositions=int(sec.get("compositions", "1")),
-                neighborhood=sec.get("neighborhood", "add-remove").strip())
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"invalid mechanism config: {exc}") from None
-        return curve_of(spec), spec, dataclasses.asdict(spec)
-    return curve, None, {"curve": curve.provenance}
-
-
 def _method_bound(mech: tuple, label: str, method: str,
                   order: float | None):
-    """One bound of a ``_mechanism`` triple: the curve for fdp,
+    """One bound of a ``_source`` triple: the curve for fdp,
     ``calibrate.method_bound`` for a mechanism spec, and for eps_delta on a
     bare (epsilon, delta) pair, ``prior_bounds.eps_delta_bound``."""
     from .calibrate import method_bound
@@ -211,7 +211,7 @@ def cmd_bound(args) -> int:
     from .calibrate import bound_at
     from .risk import RISK_REPORT_CSV_HEADER, RiskReport
     cp = _read_config(args.scenario)
-    mech = _mechanism(cp)
+    mech = _source(cp["mechanism"])
     labels = cp["baselines"].values() if cp.has_section("baselines") else ()
     if not labels:
         raise ParameterError("scenario needs at least one baseline")
@@ -250,12 +250,9 @@ def cmd_calibrate(args) -> int:
     from .calibrate import (CalibrationRequest, InfeasibleTargetError,
                             calibrate_noise)
     baseline = parse_baseline(args.baseline)
-    if args.target_adv is not None:
-        target_kind, target_value = "advantage", args.target_adv
-    elif args.target_succ is not None:
-        target_kind, target_value = "success", args.target_succ
-    else:
-        raise ParameterError("specify --target-adv or --target-succ")
+    target_kind, target_value = (("advantage", args.target_adv)
+                                 if args.target_succ is None
+                                 else ("success", args.target_succ))
     rows = []
     for label, method, order in parse_methods(args.methods):
         try:
@@ -417,13 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default="csv")
 
     p = sub.add_parser("tradeoff", help="emit trade-off curve knots")
-    p.add_argument("--gaussian-mu", type=float)
-    p.add_argument("--laplace-eps", type=float)
-    p.add_argument("--rr-p", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--profile", help="epsilon,delta CSV file")
-    p.add_argument("--curve", help="alpha,f CSV file")
+    p.add_argument("--gaussian-mu", dest="mu")
+    p.add_argument("--laplace-eps")
+    p.add_argument("--rr-p")
+    p.add_argument("--epsilon")
+    p.add_argument("--delta")
+    p.add_argument("--profile", dest="profile_file",
+                   help="epsilon,delta CSV file")
+    p.add_argument("--curve", dest="curve_file", help="alpha,f CSV file")
     p.add_argument("--mechanism", help="mechanism config file")
     p.add_argument("--grid-points", type=int, default=2001)
     add_common(p)
@@ -437,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="calibrate noise to a target risk")
     p.add_argument("--family", required=True,
                    choices=("gaussian", "laplace", "randomized_response"))
-    p.add_argument("--target-adv", type=float)
-    p.add_argument("--target-succ", type=float)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target-adv", type=float)
+    target.add_argument("--target-succ", type=float)
     p.add_argument("--baseline", default="worst_case",
                    help="fixed:B, pso:N:W (union singling-out bound over N "
                    "records at predicate weight W), spso:W, bernoulli:PI "

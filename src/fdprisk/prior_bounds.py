@@ -1,7 +1,7 @@
 """Comparison bounds from prior accounting frameworks.
 
 One ``PriorBound`` (success at a base, worst-case advantage) per framework:
-``eps_delta_bound``, ``zcdp_bound`` and ``rdp_bound``; plus singling-out
+``eps_delta_bound``, ``zcdp_bound`` and ``_rdp_bound``; plus singling-out
 under (epsilon, delta), Renyi divergences and optimal composition of pure
 DP. These are the baselines the trade-off-curve bounds are compared against.
 """
@@ -103,18 +103,6 @@ def _zcdp_worst_case(s: float) -> float:
     return -math.exp(-d * d) * math.expm1(-s * (2.0 * u - s))
 
 
-def rdp_bound(eps, t_grid) -> PriorBound:
-    """Best reconstruction bound over an RDP curve (Mironov, CSF 2017),
-    exp(min(0, min_t (t - 1)/t (log base + eps_t))), from the RDP epsilon of
-    each order in ``t_grid``, checked in Python: cheaper at one order."""
-    eps = np.asarray(eps, dtype=float)
-    frac = [rdp_order_frac(t) for t in np.ravel(t_grid).tolist()]
-    if not frac or eps.shape != (len(frac),) or not all(
-            e >= 0 for e in eps.tolist()):
-        raise ParameterError("need one RDP epsilon >= 0 per order")
-    return _rdp_bound(eps, np.array(frac))
-
-
 def rdp_order_frac(t: float) -> float:
     """(t - 1)/t of one RDP order t, refused unless it lies in (0, 1)."""
     t = float(t)
@@ -124,13 +112,16 @@ def rdp_order_frac(t: float) -> float:
 
 
 def _rdp_bound(eps: np.ndarray, frac: np.ndarray) -> PriorBound:
-    """``rdp_bound`` on valid input, frac = (t - 1)/t."""
+    """Best reconstruction bound over an RDP curve (Mironov, CSF 2017),
+    exp(min(0, min_t (t - 1)/t (log base + eps_t))), from the RDP epsilon
+    >= 0 of each order t, frac = (t - 1)/t: one order's frac from
+    ``rdp_order_frac``, or ``_DEFAULT_T_FRAC`` for the default grid."""
     return PriorBound(lambda base: _rdp_success(base, eps, frac),
                       lambda: _rdp_worst_case(eps, frac))
 
 
 def _rdp_success(b: float, eps: np.ndarray, frac: np.ndarray) -> float:
-    """``rdp_bound`` at one base; 0 at b = 0, where log 0 + inf is NaN."""
+    """``_rdp_bound`` at one base; 0 at b = 0, where log 0 + inf is NaN."""
     b = risk._check_base(b)
     if b == 0.0:
         return 0.0

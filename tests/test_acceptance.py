@@ -10,6 +10,7 @@ import scipy.optimize as so
 from scipy.stats import norm
 
 import oracles
+from fdprisk import accountant as A
 from fdprisk import calibrate as C
 from fdprisk import cli
 from fdprisk import prior_bounds as P
@@ -35,8 +36,9 @@ def test_criterion_1_bound_dominance():
             cap = 1.0 - base  # saturated bounds cannot be strictly ordered
             a_fdp = R.adv_bound(T.gaussian_curve(mu), base)
             a_zcdp = max(0.0, P.zcdp_bound(mu * mu / 2).success(base) - base)
-            eps2 = P.gaussian_rdp_epsilon(2.0, mu)
-            a_rdp = max(0.0, P.rdp_bound([eps2], [2.0]).success(base) - base)
+            rdp = C.method_bound(A.MechanismSpec("gaussian", sigma), "rdp",
+                                 2.0)
+            a_rdp = max(0.0, rdp.success(base) - base)
             if not (a_fdp <= a_zcdp + 1e-12 and a_zcdp <= a_rdp + 1e-12):
                 ok = False
                 worst = f"sigma={sigma:.1f} base={base}"

@@ -261,6 +261,16 @@ def test_verify_takes_no_format(capsys):
     assert exc.value.code == 2
 
 
+def test_calibrate_takes_exactly_one_target(capsys):
+    # two targets, or none, are an argparse error: exit 2
+    argv = ["calibrate", "--family", "gaussian"]
+    for targets in ([], ["--target-adv", "0.2", "--target-succ", "0.6"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + targets)
+        assert exc.value.code == 2
+    assert "--target-adv" in capsys.readouterr().err
+
+
 def test_calibrate_randomized_response_rejected(capsys):
     code = cli.main(["calibrate", "--family", "randomized_response",
                      "--target-adv", "0.2", "--baseline", "worst_case"])
@@ -342,11 +352,23 @@ _BOUNDS = ["fdprisk.accountant", "fdprisk.calibrate", "fdprisk.prior_bounds",
     (["calibrate", "--family", "gaussian", "--methods", "fdp,zcdp,rdp",
       "--target-adv", "0.2", "--baseline", "fixed:0.1"], _BOUNDS),
     (["verify", "--seed", "3"], ["fdprisk.oracle", "fdprisk.risk"]),
+    # the closed-form sources load no accountant, through a flag or a
+    # [mechanism] key: the section text below is written to a file
+    (["tradeoff", "--laplace-eps", "1.0"], []),
+    (["tradeoff", "--epsilon", "1.0"], []),
+    (["tradeoff", "--mechanism", "mu = 1.0"], []),
+    (["tradeoff", "--mechanism", "laplace_eps = 1.0"], []),
+    (["tradeoff", "--mechanism", "epsilon = 1.0"], []),
 ], ids=["bound", "tradeoff-mu", "tradeoff-eps-delta", "tradeoff-mechanism",
-        "calibrate", "verify"])
-def test_cold_command_loads_only_its_layers(argv, layers):
+        "calibrate", "verify", "tradeoff-laplace-eps", "tradeoff-eps",
+        "mechanism-mu", "mechanism-laplace-eps", "mechanism-eps"])
+def test_cold_command_loads_only_its_layers(tmp_path, argv, layers):
     # each command of the cold-start benchmark, in a fresh interpreter:
     # the fdprisk modules loaded once main returns
+    if " = " in argv[-1]:
+        cfg = tmp_path / "mechanism.cfg"
+        cfg.write_text(f"[mechanism]\n{argv[-1]}\n")
+        argv = [*argv[:-1], str(cfg)]
     script = ("import contextlib, io, json, sys\n"
               "from fdprisk import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -446,7 +468,7 @@ def test_tradeoff_mechanism_spec_file(tmp_path, capsys):
     path = tmp_path / "mech.cfg"
     path.write_text("[mechanism]\n" + "".join(f"{k} = {v}\n"
                                               for k, v in section.items()))
-    assert cli._mechanism(cli._read_config(str(path)))[1] == spec
+    assert cli._source(cli._read_config(str(path))["mechanism"])[1] == spec
     code, out = run(capsys, "tradeoff", "--mechanism", str(path))
     assert code == 0
     want = io.StringIO()
@@ -483,6 +505,120 @@ def test_tradeoff_mechanism_takes_scenario_section(capsys):
     assert code == 0
     assert out == run(capsys, "tradeoff", "--epsilon", "10.6",
                       "--delta", "1e-10")[1]
+
+
+# one minimal [mechanism] section of each curve source, and the tradeoff
+# flags of the same curve ({dir} is where the CSV files are written)
+_SOURCES = {
+    "spec": ({"family": "gaussian", "noise_scale": "2.0"}, None),
+    "epsilon": ({"epsilon": "1.0", "delta": "1e-5"},
+                ["--epsilon", "1.0", "--delta", "1e-5"]),
+    "mu": ({"mu": "0.75"}, ["--gaussian-mu", "0.75"]),
+    "laplace_eps": ({"laplace_eps": "0.5"}, ["--laplace-eps", "0.5"]),
+    "rr_p": ({"rr_p": "0.25"}, ["--rr-p", "0.25"]),
+    "profile_file": ({"profile_file": "{dir}/profile.csv"},
+                     ["--profile", "{dir}/profile.csv"]),
+    "curve_file": ({"curve_file": "{dir}/curve.csv"},
+                   ["--curve", "{dir}/curve.csv"]),
+}
+# each tradeoff curve flag and its value, by its key
+_FLAGS = {key: flags[2 * i:2 * i + 2] for section, flags in _SOURCES.values()
+          if flags for i, key in enumerate(section)}
+
+
+def _scenario(tmp_path, section: dict, head: str = "") -> str:
+    """A scenario file of ``section`` as its [mechanism], with the CSV
+    files its keys may name."""
+    (tmp_path / "profile.csv").write_text("epsilon,delta\n0,0.5\n1,0.1\n"
+                                          "2,0.01\n")
+    (tmp_path / "curve.csv").write_text("alpha,f\n0,1\n0.2,0.5\n1,0\n")
+    path = tmp_path / "scenario.cfg"
+    path.write_text(head + "[mechanism]\n" + "".join(
+        f"{k} = {v.format(dir=tmp_path)}\n" for k, v in section.items())
+        + "[baselines]\nw = worst_case\n[methods]\nmethods = fdp\n")
+    return str(path)
+
+
+def _refused(capsys, argv, *names):
+    """cli.main(argv) exits 2 with a message naming each of ``names``."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: "), (argv, err)
+    assert all(name in err for name in names), (argv, err)
+
+
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+def test_every_source_refuses_a_stray_key(tmp_path, capsys, source):
+    # a key no source reads, and a key of another source (compositions
+    # beside a bare epsilon, curve_file beside a spec): exit 2, naming it
+    other = "curve_file" if source == "spec" else "compositions"
+    for key in ("sensitivty", other):
+        path = _scenario(tmp_path, {**_SOURCES[source][0], key: "3"})
+        for argv in (("tradeoff", "--mechanism", path),
+                     ("bound", "--scenario", path)):
+            _refused(capsys, argv, key)
+
+
+def test_default_section_keys_are_mechanism_keys(tmp_path, capsys):
+    # configparser leaks [DEFAULT] into every section, [mechanism] too
+    path = _scenario(tmp_path, {"mu": "1"}, head="[DEFAULT]\nname = x\n")
+    for argv in (("tradeoff", "--mechanism", path),
+                 ("bound", "--scenario", path)):
+        _refused(capsys, argv, "name")
+
+
+def test_misspelt_spec_keys_are_refused(tmp_path, capsys):
+    path = _scenario(tmp_path, {"family": "gaussian", "noise_scale": "1",
+                                "sensitivty": "2", "composition": "4"})
+    _refused(capsys, ["bound", "--scenario", path], "sensitivty",
+             "composition")
+    path = _scenario(tmp_path, {"family": "gaussian"})
+    _refused(capsys, ["tradeoff", "--mechanism", path], "noise_scale")
+
+
+def test_every_pair_of_curve_flags_is_refused(tmp_path, capsys):
+    _scenario(tmp_path, {})  # the CSV files
+    keys = sorted(_FLAGS)
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            if {a, b} == {"epsilon", "delta"}:
+                continue
+            argv = ["tradeoff", *_FLAGS[a], *_FLAGS[b]]
+            _refused(capsys, [v.format(dir=tmp_path) for v in argv], a, b)
+
+
+def test_mechanism_beside_a_curve_flag_is_refused(tmp_path, capsys):
+    path = _scenario(tmp_path, {"mu": "1"})
+    for key, flag in _FLAGS.items():
+        _refused(capsys, ["tradeoff", "--mechanism", path,
+                          *(v.format(dir=tmp_path) for v in flag)], key)
+
+
+def test_delta_without_epsilon_is_refused(capsys):
+    _refused(capsys, ["tradeoff", "--delta", "1e-5"], "delta", "epsilon")
+
+
+@pytest.mark.parametrize("source", sorted(set(_SOURCES) - {"spec"}))
+def test_each_curve_flag_is_its_mechanism_key(tmp_path, capsys, source):
+    section, flags = _SOURCES[source]
+    path = _scenario(tmp_path, section)
+    code, out = run(capsys, "tradeoff", "--mechanism", path)
+    assert code == 0 and out.startswith("alpha,f\n")
+    assert run(capsys, "tradeoff",
+               *(v.format(dir=tmp_path) for v in flags)) == (0, out)
+
+
+@pytest.mark.parametrize("baseline", [
+    "fixed:0.1:9", "worst_case:0.3", "bernoulli:0.5:x", "spso:1e-4:2",
+    "pso:5000:2e-4:1", "pso:5000", "fixed", "magic:1"])
+def test_baseline_descriptor_fields_are_exact(tmp_path, capsys, baseline):
+    # a field the kind does not read, or one it needs, is refused
+    _refused(capsys, ["calibrate", "--family", "gaussian", "--target-adv",
+                      "0.2", "--baseline", baseline], repr(baseline))
+    scn = tmp_path / "bad.cfg"
+    scn.write_text(f"[mechanism]\nmu = 1\n[baselines]\nbad = {baseline}\n"
+                   "[methods]\nmethods = fdp\n")
+    _refused(capsys, ["bound", "--scenario", str(scn)], repr(baseline))
 
 
 def test_bound_scenario_table(tmp_path, capsys):
