@@ -11,6 +11,7 @@ imports the layers it runs when it runs, so a cold process loads no more.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -55,40 +56,38 @@ def _table(fields: tuple[str, ...], rows: list[tuple]):
 # --------------------------------------------------------------------------
 # tradeoff
 
-# each key, a tradeoff flag's dest or a [mechanism] key, -> the one curve
-# source that reads it
-_SOURCE = {key: source for source, keys in (
-    ("spec", "family noise_scale sensitivity compositions neighborhood"),
-    ("epsilon", "epsilon delta"),
-    ("mu", "mu"), ("laplace_eps", "laplace_eps"), ("rr_p", "rr_p"),
-    ("profile_file", "profile_file"), ("curve_file", "curve_file"),
+# key (a tradeoff flag's dest or a [mechanism] key) -> its source's first key
+_SOURCE = {key: keys.split()[0] for keys in (
+    "family noise_scale sensitivity compositions neighborhood",
+    "epsilon delta", "mu", "laplace_eps", "rr_p", "profile_file", "curve_file",
 ) for key in keys.split()}
 
 
-def _source(keys) -> tuple:
+def _source(keys, name=str) -> tuple:
     """(curve, spec or None, report parameters) of a key -> text map of one
-    source's keys, each text parsed here. A key no source reads, keys of
-    two sources or a missing key is a ParameterError that names them."""
+    source's keys, each text parsed here. A key no source reads, keys of two
+    sources or a missing key is a ParameterError naming each as name(key)."""
+    named = ", ".join(map(name, keys))
     stray = [k for k in keys if k not in _SOURCE]
     sources = {_SOURCE.get(k) for k in keys}
     if stray or len(sources) != 1:
         raise ParameterError(
             f"no curve source reads {', '.join(stray)}" if stray else
-            "need the keys of one curve source, got " + (", ".join(
-                f"{k} ({_SOURCE[k]})" for k in keys) or "none"))
+            f"{named} name {len(sources)} curve sources"
+            if keys else "name a curve source: "
+            + ", ".join(filter(None, map(name, _SOURCE))))
     (source,) = sources
 
     def value(key, default=None, parse=float):
         text = keys.get(key, default)
         if text is None:
-            raise ParameterError(f"curve keys {', '.join(keys)} need {key}")
+            raise ParameterError(f"{named} need {name(key)}")
         try:
             return parse(text)
         except ValueError as exc:
-            raise ParameterError(f"invalid {key}: {exc}") from None
+            raise ParameterError(f"invalid {name(key)}: {exc}") from None
 
-    if source == "spec":
-        import dataclasses
+    if source == "family":
         from .accountant import MechanismSpec, curve_of
         spec = MechanismSpec(
             family=value("family", parse=str).strip().lower(),
@@ -119,13 +118,19 @@ def cmd_tradeoff(args) -> int:
             if k in _SOURCE and v is not None}
     if args.mechanism is not None and keys:
         raise ParameterError("--mechanism takes no other curve flag, got "
-                             + ", ".join(keys))
-    curve = _source(keys if args.mechanism is None
-                    else _read_config(args.mechanism)["mechanism"])[0]
+                             + ", ".join(map(args.flags.get, keys)))
+    curve = (_source(keys, args.flags.get) if args.mechanism is None
+             else _source(_read_config(args.mechanism)["mechanism"]))[0]
     grid = (None if curve.is_piecewise
             else tradeoff.default_alpha_grid(args.grid_points))
-    lines, knots = _table(("alpha", "f"), curve.as_knots(grid).tolist())
-    _emit(args, lines, {"provenance": curve.provenance, "knots": knots})
+    if args.format == "json":
+        _emit(args, [], {"provenance": curve.provenance, "knots": [
+            {"alpha": a, "f": b} for a, b in curve.as_knots(grid).tolist()]})
+    else:
+        rows: list[str] = []  # curve_to_csv writes a newline-ended row a call
+        out = argparse.Namespace(write=lambda row: rows.append(row[:-1]))
+        tradeoff.curve_to_csv(curve, out, grid)
+        _emit(args, rows)
     return EXIT_OK
 
 
@@ -136,21 +141,20 @@ def parse_baseline(text: str) -> BaselineSpec:
     """Parse ``fixed:0.1`` / ``pso:5000:2e-4`` / ``spso:1e-4`` /
     ``bernoulli:0.5`` / ``worst_case`` baseline descriptors, each with
     exactly the fields its kind reads."""
-    from .risk import BaselineSpec
+    from .risk import BaselineSpec as B
     kind, *fields = text.strip().split(":")
-    kind = kind.strip().lower()
-    # each kind's field types; spso's simple singling-out weight w is a
-    # fixed baseline w
-    types = {"fixed": (float,), "spso": (float,), "bernoulli": (float,),
-             "pso": (int, float), "worst_case": ()}.get(kind)
+    # kind -> constructor, field types (spso's weight w is a fixed baseline w)
+    make, types = {"fixed": (B.fixed, (float,)), "spso": (B.fixed, (float,)),
+                   "bernoulli": (B.bernoulli, (float,)),
+                   "pso": (B.pso_weight, (int, float)),
+                   "worst_case": (B.worst_case, ())}.get(kind.strip().lower(),
+                                                         (None, None))
     if types is None or len(fields) != len(types):
         raise ParameterError(f"bad baseline {text!r}: " + (
             "unknown kind" if types is None else
             f"{kind} takes {len(types)} field(s), got {len(fields)}"))
-    make = {"spso": "fixed", "pso": "pso_weight"}.get(kind, kind)
     try:
-        return getattr(BaselineSpec, make)(
-            *(t(v) for t, v in zip(types, fields)))
+        return make(*(t(v) for t, v in zip(types, fields)))
     except ValueError as exc:
         raise ParameterError(f"bad baseline {text!r}: {exc}") from None
 
@@ -192,9 +196,8 @@ def _read_config(path: str) -> configparser.ConfigParser:
 
 def _method_bound(mech: tuple, label: str, method: str,
                   order: float | None):
-    """One bound of a ``_source`` triple: the curve for fdp,
-    ``calibrate.method_bound`` for a mechanism spec, and for eps_delta on a
-    bare (epsilon, delta) pair, ``prior_bounds.eps_delta_bound``."""
+    """One bound of a ``_source`` triple: its curve for fdp, else the method's
+    bound of its spec, or eps_delta_bound of a bare (epsilon, delta) pair."""
     from .calibrate import method_bound
     from .prior_bounds import eps_delta_bound
     curve, spec, params = mech
@@ -250,15 +253,14 @@ def cmd_calibrate(args) -> int:
     from .calibrate import (CalibrationRequest, InfeasibleTargetError,
                             calibrate_noise)
     baseline = parse_baseline(args.baseline)
-    target_kind, target_value = (("advantage", args.target_adv)
-                                 if args.target_succ is None
-                                 else ("success", args.target_succ))
+    kind = "advantage" if args.target_succ is None else "success"
+    value = args.target_adv if kind == "advantage" else args.target_succ
     rows = []
     for label, method, order in parse_methods(args.methods):
         try:
             r = calibrate_noise(CalibrationRequest(
-                family=args.family, target_kind=target_kind,
-                target_value=target_value, baseline=baseline, method=method,
+                family=args.family, target_kind=kind,
+                target_value=value, baseline=baseline, method=method,
                 sensitivity=args.sensitivity, compositions=args.compositions,
                 rdp_order=order, eps_delta_delta=args.delta,
                 tolerance=args.tolerance))
@@ -281,7 +283,6 @@ def cmd_calibrate(args) -> int:
 # queries
 
 def cmd_queries(args) -> int:
-    import dataclasses
     from . import accountant, prior_bounds, risk
     # checks b and the sensitivity before they are divided
     spec = accountant.MechanismSpec(family="laplace", noise_scale=args.b,
@@ -414,18 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default="csv")
 
     p = sub.add_parser("tradeoff", help="emit trade-off curve knots")
-    p.add_argument("--gaussian-mu", dest="mu")
-    p.add_argument("--laplace-eps")
-    p.add_argument("--rr-p")
-    p.add_argument("--epsilon")
-    p.add_argument("--delta")
-    p.add_argument("--profile", dest="profile_file",
-                   help="epsilon,delta CSV file")
-    p.add_argument("--curve", dest="curve_file", help="alpha,f CSV file")
+    flags = {a.dest: a.option_strings[0] for a in (
+        p.add_argument("--gaussian-mu", dest="mu"),
+        p.add_argument("--laplace-eps"), p.add_argument("--rr-p"),
+        p.add_argument("--epsilon"), p.add_argument("--delta"),
+        p.add_argument("--curve", dest="curve_file", help="alpha,f CSV file"),
+        p.add_argument("--profile", dest="profile_file",
+                       help="epsilon,delta CSV file"))}
     p.add_argument("--mechanism", help="mechanism config file")
     p.add_argument("--grid-points", type=int, default=2001)
     add_common(p)
-    p.set_defaults(func=cmd_tradeoff)
+    p.set_defaults(func=cmd_tradeoff, flags=flags)  # _SOURCE key -> flag
 
     p = sub.add_parser("bound", help="risk-bound table for a scenario")
     p.add_argument("--scenario", required=True, help="scenario config file")

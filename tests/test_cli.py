@@ -403,8 +403,13 @@ def test_package_names_resolve_lazily():
 
 
 def test_tradeoff_missing_source_is_config_error(capsys):
-    code, _ = run(capsys, "tradeoff")
+    # the message names the curve flags to give
+    code = cli.main(["tradeoff"])
+    err = capsys.readouterr().err
     assert code == 2
+    assert all(flag in err for flag in ("--gaussian-mu", "--laplace-eps",
+                                        "--rr-p", "--epsilon", "--profile",
+                                        "--curve")), err
 
 
 def test_tradeoff_profile_file(tmp_path, capsys):
@@ -540,11 +545,13 @@ def _scenario(tmp_path, section: dict, head: str = "") -> str:
 
 
 def _refused(capsys, argv, *names):
-    """cli.main(argv) exits 2 with a message naming each of ``names``."""
+    """cli.main(argv) exits 2 with a message naming each of ``names``;
+    returns the message."""
     code = cli.main(list(argv))
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: "), (argv, err)
     assert all(name in err for name in names), (argv, err)
+    return err
 
 
 @pytest.mark.parametrize("source", sorted(_SOURCES))
@@ -574,6 +581,10 @@ def test_misspelt_spec_keys_are_refused(tmp_path, capsys):
              "composition")
     path = _scenario(tmp_path, {"family": "gaussian"})
     _refused(capsys, ["tradeoff", "--mechanism", path], "noise_scale")
+    # an empty section is told the keys it may use
+    path = _scenario(tmp_path, {})
+    _refused(capsys, ["tradeoff", "--mechanism", path], "family", "mu",
+             "curve_file")
 
 
 def test_every_pair_of_curve_flags_is_refused(tmp_path, capsys):
@@ -584,18 +595,21 @@ def test_every_pair_of_curve_flags_is_refused(tmp_path, capsys):
             if {a, b} == {"epsilon", "delta"}:
                 continue
             argv = ["tradeoff", *_FLAGS[a], *_FLAGS[b]]
-            _refused(capsys, [v.format(dir=tmp_path) for v in argv], a, b)
+            # named by the flags as typed, not by their keys
+            err = _refused(capsys, [v.format(dir=tmp_path) for v in argv],
+                           _FLAGS[a][0], _FLAGS[b][0])
+            assert "_file" not in err and "(mu)" not in err, err
 
 
 def test_mechanism_beside_a_curve_flag_is_refused(tmp_path, capsys):
     path = _scenario(tmp_path, {"mu": "1"})
-    for key, flag in _FLAGS.items():
+    for flag in _FLAGS.values():
         _refused(capsys, ["tradeoff", "--mechanism", path,
-                          *(v.format(dir=tmp_path) for v in flag)], key)
+                          *(v.format(dir=tmp_path) for v in flag)], flag[0])
 
 
 def test_delta_without_epsilon_is_refused(capsys):
-    _refused(capsys, ["tradeoff", "--delta", "1e-5"], "delta", "epsilon")
+    _refused(capsys, ["tradeoff", "--delta", "1e-5"], "--delta", "--epsilon")
 
 
 @pytest.mark.parametrize("source", sorted(set(_SOURCES) - {"spec"}))
