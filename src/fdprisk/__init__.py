@@ -15,7 +15,7 @@ _SUBMODULE = {name: module for module, names in (
     ("accountant", "MechanismSpec PldGrid curve_of"),
     ("calibrate", "CalibrationRequest CalibrationResult InfeasibleTargetError "
                   "calibrate_noise risk_at"),
-    ("risk", "BaselineSpec RiskReport adv_bound adv_bound_worst_case "
+    ("risk", "BaselineSpec adv_bound adv_bound_worst_case "
              "baseline_value succ_bound"),
     ("tradeoff", "ParameterError PrivacyProfile TradeoffCurve "
                  "curve_from_epsilon_delta curve_from_profile gaussian_curve "

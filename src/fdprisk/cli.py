@@ -28,14 +28,14 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 
 
-def _emit(args, lines: list[str], payload=None) -> None:
-    """Print the lines, or the payload as JSON under ``--format json``, to
+def _emit(args, out) -> None:
+    """Print the lines ``out``, or ``out`` as JSON under ``--format json``, to
     stdout or to ``--output``: a relative path resolves under
     $FDPRISK_OUTPUT_DIR when that is set, an absolute one is used as given."""
     if getattr(args, "format", None) == "json":
         import json
-        lines = [json.dumps(payload, indent=2)]
-    text = "\n".join(lines) + "\n"
+        out = [json.dumps(out, indent=2)]
+    text = "\n".join(out) + "\n"
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -44,13 +44,20 @@ def _emit(args, lines: list[str], payload=None) -> None:
         fh.write(text)
 
 
-def _table(fields: tuple[str, ...], rows: list[tuple]):
-    """CSV lines (the header, then numbers at 17 significant digits, None
-    as an empty field) and JSON records of the same rows."""
-    lines = [",".join(fields)]
-    lines += [",".join("" if v is None else v if isinstance(v, str)
-                       else f"{v:.17g}" for v in row) for row in rows]
-    return lines, [dict(zip(fields, row)) for row in rows]
+def _table(args, fields: tuple[str, ...], rows: list) -> list:
+    """The rows as JSON records under ``--format json``, else as CSV lines: a
+    number at 17 significant digits, None empty, a dict as ';'-joined
+    key=value pairs, and text with ',' as ';' and newlines as ' '."""
+    if args.format == "json":
+        return [dict(zip(fields, row)) for row in rows]
+
+    def cell(v) -> str:
+        if isinstance(v, dict):
+            v = ";".join(f"{k}={x}" for k, x in v.items())
+        if isinstance(v, str):
+            return v.replace(",", ";").replace("\n", " ")
+        return "" if v is None else f"{v:.17g}"
+    return [",".join(fields)] + [",".join(map(cell, row)) for row in rows]
 
 
 # --------------------------------------------------------------------------
@@ -121,16 +128,13 @@ def cmd_tradeoff(args) -> int:
                              + ", ".join(map(args.flags.get, keys)))
     curve = (_source(keys, args.flags.get) if args.mechanism is None
              else _source(_read_config(args.mechanism)["mechanism"]))[0]
-    grid = (None if curve.is_piecewise
-            else tradeoff.default_alpha_grid(args.grid_points))
-    if args.format == "json":
-        _emit(args, [], {"provenance": curve.provenance, "knots": [
-            {"alpha": a, "f": b} for a, b in curve.as_knots(grid).tolist()]})
-    else:
-        rows: list[str] = []  # curve_to_csv writes a newline-ended row a call
-        out = argparse.Namespace(write=lambda row: rows.append(row[:-1]))
-        tradeoff.curve_to_csv(curve, out, grid)
-        _emit(args, rows)
+    knots = curve.knots
+    if not curve.is_piecewise:  # f sampled on the grid
+        grid = tradeoff.default_alpha_grid(args.grid_points)
+        knots = np.column_stack([grid, curve(grid)])
+    table = _table(args, ("alpha", "f"), knots.tolist())
+    _emit(args, {"provenance": curve.provenance, "knots": table}
+          if args.format == "json" else table)
     return EXIT_OK
 
 
@@ -212,7 +216,6 @@ def _method_bound(mech: tuple, label: str, method: str,
 
 def cmd_bound(args) -> int:
     from .calibrate import bound_at
-    from .risk import RISK_REPORT_CSV_HEADER, RiskReport
     cp = _read_config(args.scenario)
     mech = _source(cp["mechanism"])
     labels = cp["baselines"].values() if cp.has_section("baselines") else ()
@@ -220,7 +223,7 @@ def cmd_bound(args) -> int:
         raise ParameterError("scenario needs at least one baseline")
     baselines = [(v, parse_baseline(v)) for v in labels]
     methods = parse_methods(cp.get("methods", "methods", fallback=""))
-    lines, reports, errors = [RISK_REPORT_CSV_HEADER], [], []
+    rows, errors = [], []  # a failed bound: a row of None bounds, a record
     bounds: dict = {}  # (method, order) -> its bound, built on first use
     for b_label, baseline in baselines:
         for m_label, method, order in methods:
@@ -229,18 +232,21 @@ def cmd_bound(args) -> int:
                     bounds[method, order] = _method_bound(mech, m_label,
                                                           method, order)
                 base, succ, adv = bound_at(bounds[method, order], baseline)
-                rep = RiskReport(method=m_label, baseline_value=base,
-                                 success_bound=succ, advantage_bound=adv,
-                                 parameters={**mech[2], "baseline": b_label})
+                if not 0.0 <= adv <= succ <= 1.0 + 1e-12:
+                    raise ParameterError("need 0 <= advantage <= success <= 1")
             except ParameterError as exc:
-                msg = str(exc).replace(",", ";").replace("\n", " ")
-                lines.append(f"{m_label},,,,baseline={b_label};error:{msg}")
+                rows.append((m_label, None, None, None,
+                             f"baseline={b_label};error:{exc}"))
                 errors.append({"error": f"{b_label}/{m_label}: {exc}"})
                 continue
-            reports.append(rep)
-            lines.append(rep.csv_row())
-    _emit(args, lines, [r.to_json_dict() for r in reports] + errors)
-    if not reports:
+            rows.append((m_label, base, succ, adv, dict(
+                sorted({**mech[2], "baseline": b_label}.items()))))
+    if args.format == "json":  # the error records follow the bound records
+        rows = [row for row in rows if row[1] is not None]
+    _emit(args, _table(args, ("method", "baseline", "success_bound",
+                              "advantage_bound", "params"), rows)
+          + (errors if args.format == "json" else []))
+    if len(errors) == len(baselines) * len(methods):
         print("all bound rows failed", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
@@ -271,9 +277,9 @@ def cmd_calibrate(args) -> int:
             rows.append((label, r.noise_scale, r.status, r.achieved_risk))
     ref = rows[0][1]
     if any(row[1] is not None for row in rows):
-        _emit(args, *_table(
-            ("method", "noise_scale", "status", "achieved_risk",
-             "ratio_to_first"),
+        _emit(args, _table(
+            args, ("method", "noise_scale", "status", "achieved_risk",
+                   "ratio_to_first"),
             [row + (None if None in (ref, row[1]) else row[1] / ref,)
              for row in rows]))
     return EXIT_INFEASIBLE if None in (row[1] for row in rows) else EXIT_OK
@@ -304,14 +310,13 @@ def cmd_queries(args) -> int:
     # the largest feasible k of each accounting, or 0
     max_k_fdp, max_k_std = (max((r[0] for r in rows if r[i]), default=0)
                             for i in (3, 4))
-    lines, records = _table(("k", "adv_fdp", "adv_standard", "feasible_fdp",
-                             "feasible_standard"), rows)
-    lines.append(f"# max_feasible_k_fdp={max_k_fdp} "
-                 f"max_feasible_k_standard={max_k_std}")
-    _emit(args, lines, {"per_query_epsilon": eps,
-                        "max_feasible_k_fdp": max_k_fdp,
-                        "max_feasible_k_standard": max_k_std,
-                        "rows": records})
+    table = _table(args, ("k", "adv_fdp", "adv_standard", "feasible_fdp",
+                          "feasible_standard"), rows)
+    _emit(args, {"per_query_epsilon": eps, "max_feasible_k_fdp": max_k_fdp,
+                 "max_feasible_k_standard": max_k_std, "rows": table}
+          if args.format == "json" else
+          table + [f"# max_feasible_k_fdp={max_k_fdp} "
+                   f"max_feasible_k_standard={max_k_std}"])
     return EXIT_OK
 
 
@@ -416,14 +421,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tradeoff", help="emit trade-off curve knots")
     flags = {a.dest: a.option_strings[0] for a in (
-        p.add_argument("--gaussian-mu", dest="mu"),
-        p.add_argument("--laplace-eps"), p.add_argument("--rr-p"),
-        p.add_argument("--epsilon"), p.add_argument("--delta"),
+        p.add_argument("--gaussian-mu", dest="mu", help="Gaussian mu-GDP"),
+        p.add_argument("--laplace-eps", help="one Laplace release at epsilon"),
+        p.add_argument("--rr-p", help="randomized response flip probability"),
+        p.add_argument("--epsilon", help="(epsilon, delta)-DP"),
+        p.add_argument("--delta", help="delta for --epsilon (default 0)"),
         p.add_argument("--curve", dest="curve_file", help="alpha,f CSV file"),
         p.add_argument("--profile", dest="profile_file",
                        help="epsilon,delta CSV file"))}
     p.add_argument("--mechanism", help="mechanism config file")
-    p.add_argument("--grid-points", type=int, default=2001)
+    p.add_argument("--grid-points", type=int, default=2001, help="alpha "
+                   "points of analytic curves (Gaussian, one Laplace, "
+                   "epsilon-delta); composed Laplace, randomized response, "
+                   "curve files and profiles print their own knots")
     add_common(p)
     p.set_defaults(func=cmd_tradeoff, flags=flags)  # _SOURCE key -> flag
 

@@ -2,10 +2,9 @@
 
 Success and advantage bounds for singling-out / reconstruction /
 attribute-inference style attacks with a known baseline, the worst-case
-(baseline-independent) TV bound, the Bernoulli-prior Bayes-error
-refinement, and the report row the CLI prints for each bound. Every bound
-reads the curve's own values: f at the baseline, its privacy profile
-``f.delta`` and its Bayes error ``f.bayes``.
+(baseline-independent) TV bound and the Bernoulli-prior Bayes-error
+refinement. Every bound reads the curve's own values: f at the baseline, its
+privacy profile ``f.delta`` and its Bayes error ``f.bayes``.
 """
 
 from __future__ import annotations
@@ -114,38 +113,3 @@ def bernoulli_succ_bound(f: TradeoffCurve, pi: float) -> float:
     else:
         r = bayes_error(f, pi)
     return float(min(1.0, 1.0 - r))
-
-
-@dataclasses.dataclass(frozen=True)
-class RiskReport:
-    """One bound row: which bound produced which numbers, with inputs echoed."""
-
-    method: str
-    baseline_value: float
-    success_bound: float
-    advantage_bound: float
-    parameters: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (0.0 <= self.advantage_bound <= self.success_bound <= 1.0 + 1e-12):
-            raise ParameterError(
-                "need 0 <= advantage <= success <= 1 in a risk report")
-
-    def csv_row(self) -> str:
-        params = ";".join(f"{k}={self.parameters[k]}"
-                          for k in sorted(self.parameters))
-        return (f"{self.method},{self.baseline_value:.17g},"
-                f"{self.success_bound:.17g},{self.advantage_bound:.17g},"
-                f"{params}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "baseline": self.baseline_value,
-            "success_bound": self.success_bound,
-            "advantage_bound": self.advantage_bound,
-            "params": {k: self.parameters[k] for k in sorted(self.parameters)},
-        }
-
-
-RISK_REPORT_CSV_HEADER = "method,baseline,success_bound,advantage_bound,params"

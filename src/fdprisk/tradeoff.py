@@ -176,14 +176,6 @@ class TradeoffCurve:
     def is_piecewise(self) -> bool:
         return self.fn is None
 
-    def as_knots(self, grid: np.ndarray | None = None) -> np.ndarray:
-        """Knot representation, sampling analytic curves on ``grid``."""
-        if self.is_piecewise and grid is None:
-            return self.knots.copy()
-        if grid is None:
-            grid = default_alpha_grid()
-        return np.column_stack([grid, self(grid)])
-
 
 @dataclasses.dataclass(frozen=True)
 class PrivacyProfile:
@@ -529,14 +521,7 @@ def gaussian_mu_at(epsilon: float, delta: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# serialization (CSV, full double precision)
-
-def curve_to_csv(curve: TradeoffCurve, out, grid: np.ndarray | None = None) -> None:
-    """Write curve knots as ``alpha,f`` CSV rows at 17 significant digits."""
-    out.write("alpha,f\n")
-    for a, b in curve.as_knots(grid).tolist():
-        out.write(f"{a:.17g},{b:.17g}\n")
-
+# CSV readers
 
 def curve_from_csv(inp) -> TradeoffCurve:
     """Read a piecewise-linear curve from ``alpha,f`` CSV."""
@@ -558,11 +543,11 @@ def _read_csv_rows(inp, expected_header: tuple[str, str]) -> np.ndarray:
     start = 1 if lines[0].replace(" ", "").lower() == ",".join(expected_header) else 0
     rows = []
     for ln in lines[start:]:
-        fields = ln.split(",")
         try:
-            rows.append([float(fields[0]), float(fields[1])])
-        except (IndexError, ValueError) as exc:
+            x, y = map(float, ln.split(","))  # exactly two fields
+        except ValueError as exc:
             raise ParameterError(f"malformed CSV row {ln!r}: {exc}") from None
+        rows.append((x, y))
     if not rows:
         raise ParameterError("CSV contains no data rows")
     rows = np.array(rows)

@@ -1,6 +1,5 @@
 """CLI front end: subcommands, formats, exit codes, determinism."""
 
-import io
 import json
 import math
 import os
@@ -476,9 +475,9 @@ def test_tradeoff_mechanism_spec_file(tmp_path, capsys):
     assert cli._source(cli._read_config(str(path))["mechanism"])[1] == spec
     code, out = run(capsys, "tradeoff", "--mechanism", str(path))
     assert code == 0
-    want = io.StringIO()
-    tradeoff.curve_to_csv(accountant.curve_of(spec), want)
-    assert out == want.getvalue()
+    knots = accountant.curve_of(spec).knots
+    assert out == "alpha,f\n" + "".join(f"{a:.17g},{b:.17g}\n"
+                                         for a, b in knots.tolist())
 
 
 def test_tradeoff_mechanism_file_errors(tmp_path, capsys):
@@ -674,6 +673,20 @@ def test_bound_all_rows_failing_is_error(tmp_path, capsys):
     scn.write_text(CENSUS_SCENARIO.replace("methods = fdp", "methods = zcdp"))
     code, _ = run(capsys, "bound", "--scenario", str(scn))
     assert code == 2
+
+
+def test_bound_row_breaking_the_sandwich_is_an_error_row(tmp_path, capsys,
+                                                        monkeypatch):
+    # a row needs 0 <= advantage <= success <= 1: one that breaks it is an
+    # error row, and with no other row the command fails
+    monkeypatch.setattr(calibrate, "bound_at", lambda f, b: (0.5, 0.4, 0.5))
+    scn = tmp_path / "s.cfg"
+    scn.write_text(CENSUS_SCENARIO)
+    assert cli.main(["bound", "--scenario", str(scn)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [
+        "fdp,,,,baseline=worst_case;error:need 0 <= advantage <= success <= 1"]
+    assert "all bound rows failed" in err
 
 
 def test_bound_missing_scenario(capsys):

@@ -27,6 +27,7 @@ CENSUS = str(ROOT / "scenarios" / "census_state.cfg")
 LAPLACE_K3 = str(GOLDEN / "laplace_k3.cfg")
 RR_K18 = str(GOLDEN / "rr_k18.cfg")
 EPS_DELTA = str(GOLDEN / "eps_delta.cfg")
+RR_P = str(GOLDEN / "rr_p.cfg")
 
 
 def _calibrate_gaussian(k, baseline, methods="fdp,zcdp,rdp"):
@@ -45,6 +46,8 @@ COMMANDS = {
     "bound_eps_delta_csv": ["bound", "--scenario", EPS_DELTA],
     "bound_eps_delta_json": ["bound", "--scenario", EPS_DELTA,
                              "--format", "json"],
+    # the curve's provenance holds a comma: its params field writes it as ';'
+    "bound_rr_p_csv": ["bound", "--scenario", RR_P],
     # rdp-t2 is vacuous at every baseline here but spso. At pso:5000:2e-4,
     # w = 1/n, the union singling-out success is at least n w = 1 at every
     # noise scale: no method answers, so no table, and exit 3
@@ -95,6 +98,17 @@ def run_command(argv) -> str:
 def test_golden_output(name):
     want = (GOLDEN / f"{name}.out").read_text()
     assert run_command(COMMANDS[name]) == want
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in COMMANDS if "json" not in n and n != "verify"))
+def test_golden_csv_rows_have_header_fields(name):
+    """Every CSV data row has as many fields as its header. Lines that start
+    with '#' (the exit code, a summary) are not rows."""
+    text = (GOLDEN / f"{name}.out").read_text()
+    header, *rows = [ln.count(",") for ln in text.splitlines()
+                     if not ln.startswith("#")] or [0]
+    assert rows == [header] * len(rows)
 
 
 if __name__ == "__main__":

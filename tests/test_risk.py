@@ -245,21 +245,6 @@ def test_bernoulli_dominates_plain_bound(pi):
             R.succ_bound(f, max(pi, 1 - pi)) + 1e-12
 
 
-# ----------------------------------------------------------------- reports
-
-def test_risk_report_invariants_and_serialization():
-    rep = R.RiskReport(method="succ", baseline_value=0.1, success_bound=0.4,
-                       advantage_bound=0.3, parameters={"mu": 1.0})
-    row = rep.csv_row()
-    assert row.startswith("succ,0.1")
-    d = rep.to_json_dict()
-    assert list(d) == ["method", "baseline", "success_bound",
-                       "advantage_bound", "params"]
-    with pytest.raises(T.ParameterError):
-        R.RiskReport(method="bad", baseline_value=0.5, success_bound=0.4,
-                     advantage_bound=0.5)
-
-
 # --------------------------------------------------------------- properties
 
 @given(eps=st.floats(0.0, 8.0), delta=st.floats(0.0, 0.5),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fdprisk import accountant as A
+from fdprisk import cli
 from fdprisk import tradeoff as T
 
 GRID = T.default_alpha_grid()
@@ -579,14 +580,19 @@ def test_profile_monotonicity_repair_is_conservative():
 
 # ------------------------------------------------------------- serialization
 
-def test_curve_csv_roundtrip_and_determinism():
+def test_curve_csv_roundtrip_and_determinism(tmp_path, capsys):
+    """``tradeoff --curve`` writes a curve's knots, twice the same bytes, and
+    ``curve_from_csv`` reads them back to the same curve."""
     f = T.piecewise_curve([0.0, 0.3, 1.0], [1.0, 0.45, 0.0])
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    T.curve_to_csv(f, buf1)
-    T.curve_to_csv(f, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    assert buf1.getvalue().startswith("alpha,f\n")
-    back = T.curve_from_csv(buf1.getvalue())
+    path = tmp_path / "curve.csv"
+    path.write_text("alpha,f\n0,1\n0.3,0.45\n1,0\n")
+    outs = []
+    for _ in range(2):
+        assert cli.main(["tradeoff", "--curve", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("alpha,f\n")
+    back = T.curve_from_csv(outs[0])
     a = np.linspace(0, 1, 101)
     assert np.allclose(back(a), f(a), atol=1e-15)
 
@@ -606,6 +612,7 @@ def test_malformed_csv_rejected():
             (T.curve_from_csv, ""),
             (T.curve_from_csv, "alpha,f\n0.1\n0.5\n"),  # one field a row
             (T.curve_from_csv, "0,1\n0.2\n1,0\n"),
+            (T.curve_from_csv, "alpha,f\n0,1,3\n1,0\n"),  # a third field
             (T.profile_from_csv, "epsilon,delta\n1\n"),
             (T.curve_from_csv, "0,1\nnan,0.5\n1,0\n"),  # NaN alpha
             (T.curve_from_csv, "0,1\n0.5,nan\n1,0\n"),
